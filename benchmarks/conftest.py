@@ -45,25 +45,33 @@ def maliot_analyses():
 # ----------------------------------------------------------------------
 # Machine-readable benchmark results: BENCH_<name>.json files at the repo
 # root collect wall-clock + throughput numbers so the perf trajectory is
-# tracked across PRs (BENCH_bdd_kernel.json for the kernel benchmarks,
-# BENCH_fleet.json for the fleet-screening gate).
+# tracked across changes (BENCH_bdd_kernel.json for the kernel
+# benchmarks, BENCH_fleet.json for the fleet-screening gate).  They are
+# tracked files, so a gate rewrites them only when asked to with
+# REPRO_BENCH_RECORD=1; a plain test run leaves the tree clean.
 # ----------------------------------------------------------------------
 import json
+import os
 import threading
 from pathlib import Path
 
 _REPO_ROOT = Path(__file__).resolve().parent.parent
 BENCH_JSON_PATH = _REPO_ROOT / "BENCH_bdd_kernel.json"
+#: Set to ``1`` to write the numbers into the ``BENCH_*.json`` files.
+RECORD_ENV = "REPRO_BENCH_RECORD"
 _bench_lock = threading.Lock()
 
 
 def record_bench(section: str, payload: dict, path: Path | None = None) -> None:
     """Merge one benchmark's numbers into a ``BENCH_*.json`` file.
 
-    ``path`` defaults to :data:`BENCH_JSON_PATH` (the BDD-kernel file).
-    Sections are replaced wholesale (last run wins); unrelated sections
-    written by other benchmark modules are preserved.
+    A no-op unless ``$REPRO_BENCH_RECORD`` is ``1``.  ``path`` defaults
+    to :data:`BENCH_JSON_PATH` (the BDD-kernel file).  Sections are
+    replaced wholesale (last run wins); unrelated sections written by
+    other benchmark modules are preserved.
     """
+    if os.environ.get(RECORD_ENV) != "1":
+        return
     target = BENCH_JSON_PATH if path is None else path
     with _bench_lock:
         data: dict = {}

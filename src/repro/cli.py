@@ -68,7 +68,9 @@ Admission is bounded — at ``--max-pending`` unsettled jobs (or
 (memory + disk) after that many seconds.  Workers default to a process
 pool (``--pool thread`` forces the in-process pool).  ``cache``
 inspects a staged artifact cache directory — per-stage entry/byte
-counts — and ``--clear`` empties it.
+counts, from ``parse`` through the fleet's ``shape`` (one canonical app
+shape per member source) and ``fleet`` (household verdict) tiers — and
+``--clear`` empties it.
 
 ``fleet`` screens a simulated fleet of households — seeded
 popularity-weighted installation profiles over the corpus +

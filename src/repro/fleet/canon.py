@@ -35,13 +35,14 @@ exercising exactly the equivalence the key promises.
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import re
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from repro.ir import build_ir
+from repro.pipeline.runner import default_pipeline
+from repro.pipeline.store import ArtifactStore, artifact_key
 from repro.platform.smartapp import SmartApp
 from repro.properties.roles import _ROLE_KEYWORDS, device_roles
 
@@ -83,14 +84,28 @@ def _handle_pattern(handles: Sequence[str]) -> re.Pattern[str]:
     return re.compile(rf"\b(?:{alternation})\b")
 
 
-@functools.lru_cache(maxsize=8192)
-def app_shape(source: str) -> AppShape:
+def app_shape(source: str, store: ArtifactStore | None = None) -> AppShape:
     """The canonical shape of one app source.
 
-    Cached on the source text itself: a fleet run sees each distinct
-    member source a handful of times (once per template variant), and
-    the cache keeps re-samples of the same variant free.
+    A content-addressed ``shape`` artifact of ``store`` (default: the
+    memory-only store of :func:`~repro.pipeline.runner.default_pipeline`),
+    keyed on the source's SHA-256: a fleet screen parses each distinct
+    member source at most once per store, and a warm re-screen over a
+    disk store reads every shape back without parsing.  Stored shapes
+    outlive the code that made them, so any change to this function's
+    output must bump :data:`~repro.pipeline.store.PIPELINE_VERSION`.
     """
+    if store is None:
+        store = default_pipeline().store
+    key = artifact_key("shape", [_digest(source)])
+    shape = store.get("shape", key, AppShape)
+    if shape is None:
+        shape = _compute_shape(source)
+        store.put("shape", key, shape)
+    return shape  # type: ignore[return-value]
+
+
+def _compute_shape(source: str) -> AppShape:
     ir = build_ir(SmartApp.from_source(source, name="canon"))
     roles = device_roles(ir)
     descriptors: dict[str, str] = {}
@@ -155,7 +170,7 @@ def household_key_for_sources(sources: Sequence[str]) -> str:
     return household_key([app_shape(source) for source in sources])
 
 
-def rename_variant(source: str, tag: str) -> str:
+def rename_variant(source: str, tag: str, store: ArtifactStore | None = None) -> str:
     """An isomorphic renamed copy of ``source``: every device handle
     gets a consistent role-preserving ``_<tag>`` suffix and the app name
     gets the tag appended, so :func:`app_shape` of the variant equals
@@ -170,8 +185,9 @@ def rename_variant(source: str, tag: str) -> str:
         raise ValueError(f"rename tag must be lowercase alphabetic, got {tag!r}")
     if tag in _ROLE_WORDS:
         raise ValueError(f"rename tag {tag!r} is a device-role keyword")
-    ir = build_ir(SmartApp.from_source(source, name="canon"))
-    handles = [perm.handle for perm in ir.devices()]
+    # The handles come from the original's (cached) shape; the pattern
+    # sorts them by length, so the shape's dedup and order are immaterial.
+    handles = list(app_shape(source, store).devices)
     renamed = source
     if handles:
         renamed = _handle_pattern(handles).sub(

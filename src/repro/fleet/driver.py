@@ -101,6 +101,12 @@ class FleetResult:
         return 3 if self.telemetry.failed_households else 0
 
 
+def _pipeline(options: FleetOptions) -> Pipeline:
+    """The process-shared pipeline over the run's cache dir (memory-only
+    without one)."""
+    return pipeline_for(options.cache_dir) if options.cache_dir else default_pipeline()
+
+
 def check_household(
     household: Household,
     canonical_key: str,
@@ -118,11 +124,7 @@ def check_household(
     parse caches.
     """
     if pipeline is None:
-        pipeline = (
-            pipeline_for(options.cache_dir)
-            if options.cache_dir
-            else default_pipeline()
-        )
+        pipeline = _pipeline(options)
     members = household.member_ids()
     try:
         apps = []
@@ -180,9 +182,7 @@ def _fleet_worker_main(worker_id, task_queue, result_queue, options_payload) -> 
     exception: per-household failures travel as error verdicts.
     """
     options = FleetOptions(**options_payload)
-    pipeline = (
-        pipeline_for(options.cache_dir) if options.cache_dir else default_pipeline()
-    )
+    pipeline = _pipeline(options)
     with scoped_registration():
         while True:
             batch = task_queue.get()
@@ -336,7 +336,9 @@ def run_fleet(
     )
 
     with scoped_registration():
-        pool = TemplatePool(profile)
+        # Member shapes share the checks' store: with a cache dir, a
+        # warm re-screen reads every shape back instead of parsing.
+        pool = TemplatePool(profile, _pipeline(options).store)
         key_counts: dict[str, int] = {}
         byte_variants: set[tuple[int, int]] = set()
         verdicts: dict[str, HouseholdVerdict] = {}
@@ -382,11 +384,7 @@ def run_fleet(
             fresh = StealingScheduler(options).run(tasks)
         done = {verdict.canonical_key for verdict in fresh}
         if len(done) < len(tasks):
-            pipeline = (
-                pipeline_for(options.cache_dir)
-                if options.cache_dir
-                else default_pipeline()
-            )
+            pipeline = _pipeline(options)
             for key, template in pending.items():
                 if key not in done:
                     fresh.append(

@@ -37,6 +37,7 @@ from dataclasses import dataclass
 from repro.corpus.loader import app_ids, load_source
 from repro.fleet.canon import RENAME_TAGS, app_shape, household_key, rename_variant
 from repro.gen.generator import GenConfig, generate_app, generate_cluster
+from repro.pipeline.store import ArtifactStore
 
 
 @dataclass(frozen=True)
@@ -133,10 +134,15 @@ class TemplatePool:
     ``templates x variants`` households (a few MB of sources) plus one
     canonical key per pair are ever held, regardless of how many
     households are sampled.
+
+    Member shapes (for rename skins and canonical keys) live in
+    ``store`` (default: the memory-only store of the default pipeline),
+    so each distinct member source is parsed at most once per store.
     """
 
-    def __init__(self, profile: FleetProfile):
+    def __init__(self, profile: FleetProfile, store: ArtifactStore | None = None):
         self.profile = profile
+        self.store = store
         self._blueprints: dict[int, Household] = {}
         self._variants: dict[tuple[int, int], Household] = {}
         self._keys: dict[tuple[int, int], str] = {}
@@ -226,7 +232,7 @@ class TemplatePool:
         members = tuple(
             Member(_fleet_id(renamed), renamed)
             for renamed in (
-                rename_variant(member.source, tag)
+                rename_variant(member.source, tag, self.store)
                 for member in self.blueprint(template).members
             )
         )
@@ -242,7 +248,10 @@ class TemplatePool:
         if key is None:
             household = self.household(template, variant)
             key = household_key(
-                [app_shape(member.source) for member in household.members]
+                [
+                    app_shape(member.source, self.store)
+                    for member in household.members
+                ]
             )
             self._keys[slot] = key
         return key

@@ -262,24 +262,34 @@ class Module(Node):
 # ----------------------------------------------------------------------
 # Traversal helpers
 # ----------------------------------------------------------------------
+#: Per node class: the dataclass fields that can hold child nodes.
+_CHILD_FIELDS: dict[type, tuple[str, ...]] = {}
+
+
+def _collect(value: object, found: list[Node]) -> None:
+    if isinstance(value, Node):
+        found.append(value)
+    elif isinstance(value, (list, tuple)):
+        for item in value:
+            _collect(item, found)
+    elif isinstance(value, dict):
+        for item in value.values():
+            _collect(item, found)
+
+
 def children(node: Node) -> list[Node]:
     """Return the direct AST-node children of ``node`` (for generic walks)."""
+    names = _CHILD_FIELDS.get(type(node))
+    if names is None:
+        names = tuple(
+            name
+            for name in getattr(node, "__dataclass_fields__", {})
+            if name != "line"
+        )
+        _CHILD_FIELDS[type(node)] = names
     found: list[Node] = []
-
-    def visit(value: object) -> None:
-        if isinstance(value, Node):
-            found.append(value)
-        elif isinstance(value, (list, tuple)):
-            for item in value:
-                visit(item)
-        elif isinstance(value, dict):
-            for item in value.values():
-                visit(item)
-
-    for name in getattr(node, "__dataclass_fields__", {}):
-        if name == "line":
-            continue
-        visit(getattr(node, name))
+    for name in names:
+        _collect(getattr(node, name), found)
     return found
 
 

@@ -12,6 +12,8 @@ inside ``(`` ``)`` and ``[`` ``]`` nesting, mirroring the Groovy grammar).
 
 from __future__ import annotations
 
+import re
+
 from repro.lang.tokens import KEYWORDS, Interp, Token, TokenKind
 
 
@@ -74,8 +76,29 @@ _ONE_CHAR_OPS = {
 }
 
 
+#: Runs the scanner consumes in one step.  ``\w`` is CPython's
+#: ``str.isalnum()`` plus ``_``, so ``[\w$]`` continues exactly the words
+#: that ``isalpha()`` / ``_`` / ``$`` start.
+_SPACE = re.compile(r"[ \t\r]+")
+_WORD_REST = re.compile(r"[\w$]*")
+_IDENT_REST = re.compile(r"\w*")
+_BRACE = re.compile(r"[{}]")
+#: Literal string text up to the next escape, ``$`` hole or closing quote.
+_TEXT = {
+    "'": re.compile(r"[^'\\]+"),
+    "'''": re.compile(r"(?:[^'\\]|'(?!''))+"),
+    '"': re.compile(r'[^"\\$]+'),
+    '"""': re.compile(r'(?:[^"\\$]|"(?!""))+'),
+}
+
+
 class Lexer:
-    """Converts SmartThings Groovy source text into a token stream."""
+    """Converts SmartThings Groovy source text into a token stream.
+
+    Whitespace runs, words, comments and string text are consumed by
+    slice or regex; line and column come from the newlines counted in
+    each consumed run rather than from stepping one character at a time.
+    """
 
     def __init__(self, source: str) -> None:
         self.source = source
@@ -83,37 +106,31 @@ class Lexer:
         self.line = 1
         self.col = 1
         self.tokens: list[Token] = []
-        # Depth of ( and [ nesting: newlines inside are insignificant.
-        self._paren_depth = 0
 
     # ------------------------------------------------------------------
-    # Character helpers
+    # Position helpers
     # ------------------------------------------------------------------
     def _peek(self, offset: int = 0) -> str:
         """Character at ``pos + offset``, or NUL at end of input.
 
         The NUL sentinel (rather than ``""``) keeps membership tests like
-        ``self._peek() in "_$"`` safe: the empty string is a substring of
-        everything, which would turn those loops into infinite loops at EOF.
+        ``self._peek() in "eE"`` false at EOF: the empty string is a
+        substring of everything.
         """
         index = self.pos + offset
         if index < len(self.source):
             return self.source[index]
         return "\x00"
 
-    def _advance(self, count: int = 1) -> str:
-        text = self.source[self.pos : self.pos + count]
-        for ch in text:
-            if ch == "\n":
-                self.line += 1
-                self.col = 1
-            else:
-                self.col += 1
-        self.pos += count
-        return text
-
-    def _emit(self, kind: TokenKind, value: object, line: int, col: int) -> None:
-        self.tokens.append(Token(kind, value, line, col))
+    def _move_to(self, end: int) -> None:
+        """Advance to ``end``, counting lines over the consumed text."""
+        newlines = self.source.count("\n", self.pos, end)
+        if newlines:
+            self.line += newlines
+            self.col = end - self.source.rfind("\n", self.pos, end)
+        else:
+            self.col += end - self.pos
+        self.pos = end
 
     def _error(self, message: str) -> LexError:
         return LexError(message, self.line, self.col)
@@ -122,96 +139,120 @@ class Lexer:
     # Main loop
     # ------------------------------------------------------------------
     def tokenize(self) -> list[Token]:
-        """Lex the whole input and return the token list (ending in EOF)."""
-        while self.pos < len(self.source):
-            ch = self._peek()
+        """Lex the whole input and return the token list (ending in EOF).
+
+        The hot token kinds (whitespace, words, newlines, comments,
+        operators) are scanned inline on local state; numbers, strings
+        and block comments go through methods on ``self``.
+        """
+        source = self.source
+        size = len(source)
+        emit = self.tokens.append
+        pos, line, col = self.pos, self.line, self.col
+        depth = 0  # ( and [ nesting: newlines inside are insignificant
+        while pos < size:
+            ch = source[pos]
             if ch in " \t\r":
-                self._advance()
-            elif ch == "\\" and self._peek(1) == "\n":
-                self._advance(2)  # explicit line continuation
-            elif ch == "\n":
-                line, col = self.line, self.col
-                self._advance()
-                if self._paren_depth == 0:
-                    self._emit(TokenKind.NEWLINE, "\n", line, col)
-            elif ch == "/" and self._peek(1) == "/":
-                self._skip_line_comment()
-            elif ch == "/" and self._peek(1) == "*":
-                self._skip_block_comment()
-            elif ch.isdigit():
-                self._lex_number()
+                end = _SPACE.match(source, pos).end()
+                col += end - pos
+                pos = end
             elif ch.isalpha() or ch == "_" or ch == "$":
-                self._lex_word()
-            elif ch == "'":
-                self._lex_single_quoted()
-            elif ch == '"':
-                self._lex_double_quoted()
+                end = _WORD_REST.match(source, pos + 1).end()
+                word = source[pos:end]
+                kind = TokenKind.KEYWORD if word in KEYWORDS else TokenKind.IDENT
+                emit(Token(kind, word, line, col))
+                col += end - pos
+                pos = end
+            elif ch == "\n":
+                if depth == 0:
+                    emit(Token(TokenKind.NEWLINE, "\n", line, col))
+                pos += 1
+                line += 1
+                col = 1
+            elif ch == "'" or ch == '"' or ch.isdigit():
+                self.pos, self.line, self.col = pos, line, col
+                if ch.isdigit():
+                    self._lex_number()
+                else:
+                    self._lex_string(ch)
+                pos, line, col = self.pos, self.line, self.col
             else:
-                self._lex_operator()
-        self._emit(TokenKind.NEWLINE, "\n", self.line, self.col)
-        self._emit(TokenKind.EOF, None, self.line, self.col)
+                two = source[pos : pos + 2]
+                if two == "//":
+                    end = source.find("\n", pos)
+                    end = size if end < 0 else end
+                    col += end - pos
+                    pos = end
+                elif two == "/*":
+                    self.pos, self.line, self.col = pos, line, col
+                    self._skip_block_comment()
+                    pos, line, col = self.pos, self.line, self.col
+                elif two == "\\\n":  # explicit line continuation
+                    pos += 2
+                    line += 1
+                    col = 1
+                elif two == "<=" and source.startswith("<=>", pos):
+                    emit(Token(TokenKind.SPACESHIP, "<=>", line, col))
+                    pos += 3
+                    col += 3
+                elif two in _TWO_CHAR_OPS:
+                    emit(Token(_TWO_CHAR_OPS[two], two, line, col))
+                    pos += 2
+                    col += 2
+                elif ch in _ONE_CHAR_OPS:
+                    if ch == "(" or ch == "[":
+                        depth += 1
+                    elif (ch == ")" or ch == "]") and depth:
+                        depth -= 1
+                    emit(Token(_ONE_CHAR_OPS[ch], ch, line, col))
+                    pos += 1
+                    col += 1
+                else:
+                    raise LexError(f"unexpected character {ch!r}", line, col)
+        self.pos, self.line, self.col = pos, line, col
+        emit(Token(TokenKind.NEWLINE, "\n", line, col))
+        emit(Token(TokenKind.EOF, None, line, col))
         return self.tokens
 
     # ------------------------------------------------------------------
-    # Comments
+    # Comments, numbers
     # ------------------------------------------------------------------
-    def _skip_line_comment(self) -> None:
-        while self.pos < len(self.source) and self._peek() != "\n":
-            self._advance()
-
     def _skip_block_comment(self) -> None:
-        start_line, start_col = self.line, self.col
-        self._advance(2)
-        while self.pos < len(self.source):
-            if self._peek() == "*" and self._peek(1) == "/":
-                self._advance(2)
-                return
-            self._advance()
-        raise LexError("unterminated block comment", start_line, start_col)
+        end = self.source.find("*/", self.pos + 2)
+        if end < 0:
+            raise self._error("unterminated block comment")
+        self._move_to(end + 2)
 
-    # ------------------------------------------------------------------
-    # Numbers, words
-    # ------------------------------------------------------------------
-    def _lex_number(self) -> None:
-        line, col = self.line, self.col
-        start = self.pos
+    def _skip_digits(self) -> None:
         while self._peek().isdigit():
-            self._advance()
+            self.pos += 1
+
+    def _lex_number(self) -> None:
+        start = self.pos
+        self._skip_digits()
         is_float = False
         # Careful: "1..5" is a range, not a float.
         if self._peek() == "." and self._peek(1).isdigit():
             is_float = True
-            self._advance()
-            while self._peek().isdigit():
-                self._advance()
+            self.pos += 1
+            self._skip_digits()
         if self._peek() in "eE" and (
             self._peek(1).isdigit()
             or (self._peek(1) in "+-" and self._peek(2).isdigit())
         ):
             is_float = True
-            self._advance()
-            if self._peek() in "+-":
-                self._advance()
-            while self._peek().isdigit():
-                self._advance()
+            self.pos += 2 if self._peek(1) in "+-" else 1
+            self._skip_digits()
         text = self.source[start : self.pos]
         # Groovy numeric suffixes (L, G, F, D) — strip them.
         if self._peek() in "LlGg":
-            self._advance()
+            self.pos += 1
         elif self._peek() in "FfDd":
             is_float = True
-            self._advance()
+            self.pos += 1
         value: object = float(text) if is_float else int(text)
-        self._emit(TokenKind.NUMBER, value, line, col)
-
-    def _lex_word(self) -> None:
-        line, col = self.line, self.col
-        start = self.pos
-        while self._peek().isalnum() or self._peek() in "_$":
-            self._advance()
-        word = self.source[start : self.pos]
-        kind = TokenKind.KEYWORD if word in KEYWORDS else TokenKind.IDENT
-        self._emit(kind, word, line, col)
+        self.tokens.append(Token(TokenKind.NUMBER, value, self.line, self.col))
+        self.col += self.pos - start
 
     # ------------------------------------------------------------------
     # Strings
@@ -230,136 +271,83 @@ class Lexer:
     }
 
     def _read_escape(self) -> str:
-        self._advance()  # consume backslash
+        """Decode the escape whose backslash is at ``pos``; move past it."""
+        self._move_to(self.pos + 1)
         ch = self._peek()
         if ch == "\x00":
             raise self._error("unterminated escape sequence")
-        self._advance()
+        self._move_to(self.pos + 1)
         return self._ESCAPES.get(ch, ch)
 
-    def _lex_single_quoted(self) -> None:
-        line, col = self.line, self.col
-        triple = self.source.startswith("'''", self.pos)
-        quote = "'''" if triple else "'"
-        self._advance(len(quote))
-        chunks: list[str] = []
-        while True:
-            if self.pos >= len(self.source):
-                raise LexError("unterminated string literal", line, col)
-            if self.source.startswith(quote, self.pos):
-                self._advance(len(quote))
-                break
-            if self._peek() == "\\":
-                chunks.append(self._read_escape())
-            else:
-                chunks.append(self._advance())
-        self._emit(TokenKind.STRING, "".join(chunks), line, col)
+    def _lex_string(self, mark: str) -> None:
+        """A ``'`` string or a ``"`` GString, single or triple quoted.
 
-    def _lex_double_quoted(self) -> None:
+        Only double-quoted strings interpolate ``$name`` / ``${expr}``;
+        a GString without holes is emitted as a plain STRING.
+        """
+        source = self.source
         line, col = self.line, self.col
-        triple = self.source.startswith('"""', self.pos)
-        quote = '"""' if triple else '"'
-        self._advance(len(quote))
+        quote = mark * 3 if source.startswith(mark * 3, self.pos) else mark
+        text = _TEXT[quote]
+        self._move_to(self.pos + len(quote))
         parts: list[object] = []
         buffer: list[str] = []
-
-        def flush() -> None:
+        while True:
+            run = text.match(source, self.pos)
+            if run is not None:
+                buffer.append(run.group())
+                self._move_to(run.end())
+            if self.pos >= len(source):
+                raise LexError("unterminated string literal", line, col)
+            if source.startswith(quote, self.pos):
+                self._move_to(self.pos + len(quote))
+                break
+            if source[self.pos] == "\\":
+                buffer.append(self._read_escape())
+                continue
+            interp = self._lex_interpolation()
+            if interp is None:  # a bare "$"
+                buffer.append("$")
+                self._move_to(self.pos + 1)
+                continue
             if buffer:
                 parts.append("".join(buffer))
                 buffer.clear()
-
-        while True:
-            if self.pos >= len(self.source):
-                raise LexError("unterminated string literal", line, col)
-            if self.source.startswith(quote, self.pos):
-                self._advance(len(quote))
-                break
-            ch = self._peek()
-            if ch == "\\":
-                buffer.append(self._read_escape())
-            elif ch == "$":
-                interp = self._lex_interpolation()
-                if interp is None:
-                    buffer.append(self._advance())
-                else:
-                    flush()
-                    parts.append(interp)
-            else:
-                buffer.append(self._advance())
-        flush()
-        if not parts:
-            parts.append("")
-        # A GString with no interpolation holes is just a string.
+            parts.append(interp)
+        if buffer or not parts:
+            parts.append("".join(buffer))
         if len(parts) == 1 and isinstance(parts[0], str):
-            self._emit(TokenKind.STRING, parts[0], line, col)
+            self.tokens.append(Token(TokenKind.STRING, parts[0], line, col))
         else:
-            self._emit(TokenKind.GSTRING, tuple(parts), line, col)
+            self.tokens.append(Token(TokenKind.GSTRING, tuple(parts), line, col))
 
     def _lex_interpolation(self) -> Interp | None:
-        """Lex ``${expr}`` or ``$ident.path`` after a ``$``; None if bare $."""
+        """Lex ``${expr}`` or ``$ident.path`` at a ``$``; None if bare $."""
+        source = self.source
         if self._peek(1) == "{":
-            self._advance(2)  # consume "${"
+            start = scan = self.pos + 2
             depth = 1
-            start = self.pos
-            while self.pos < len(self.source):
-                ch = self._peek()
-                if ch == "{":
-                    depth += 1
-                elif ch == "}":
-                    depth -= 1
-                    if depth == 0:
-                        source = self.source[start : self.pos]
-                        self._advance()
-                        return Interp(source)
-                self._advance()
-            raise self._error("unterminated ${...} interpolation")
+            while depth:
+                brace = _BRACE.search(source, scan)
+                if brace is None:
+                    self._move_to(len(source))
+                    raise self._error("unterminated ${...} interpolation")
+                scan = brace.end()
+                depth += 1 if brace.group() == "{" else -1
+            self._move_to(scan)
+            return Interp(source[start : scan - 1])
         nxt = self._peek(1)
         if not (nxt.isalpha() or nxt == "_"):
             return None
-        self._advance()  # consume "$"
-        start = self.pos
-        while self._peek().isalnum() or self._peek() == "_":
-            self._advance()
+        start = self.pos + 1
+        end = _IDENT_REST.match(source, start).end()
         # Dotted path: $evt.value
-        while (
-            self._peek() == "."
-            and (self._peek(1).isalpha() or self._peek(1) == "_")
+        while source.startswith(".", end) and end + 1 < len(source) and (
+            source[end + 1].isalpha() or source[end + 1] == "_"
         ):
-            self._advance()
-            while self._peek().isalnum() or self._peek() == "_":
-                self._advance()
-        return Interp(self.source[start : self.pos])
-
-    # ------------------------------------------------------------------
-    # Operators
-    # ------------------------------------------------------------------
-    def _lex_operator(self) -> None:
-        line, col = self.line, self.col
-        three = self.source[self.pos : self.pos + 3]
-        if three == "<=>":
-            self._advance(3)
-            self._emit(TokenKind.SPACESHIP, three, line, col)
-            return
-        two = self.source[self.pos : self.pos + 2]
-        if two in _TWO_CHAR_OPS:
-            self._advance(2)
-            kind = _TWO_CHAR_OPS[two]
-            self._track_nesting(two)
-            self._emit(kind, two, line, col)
-            return
-        one = self._peek()
-        if one in _ONE_CHAR_OPS:
-            self._advance()
-            self._track_nesting(one)
-            self._emit(_ONE_CHAR_OPS[one], one, line, col)
-            return
-        raise self._error(f"unexpected character {one!r}")
-
-    def _track_nesting(self, lexeme: str) -> None:
-        if lexeme in "([":
-            self._paren_depth += 1
-        elif lexeme in ")]":
-            self._paren_depth = max(0, self._paren_depth - 1)
+            end = _IDENT_REST.match(source, end + 1).end()
+        self._move_to(end)
+        return Interp(source[start:end])
 
 
 def tokenize(source: str) -> list[Token]:

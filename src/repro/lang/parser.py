@@ -41,16 +41,26 @@ class ParseError(Exception):
         return (type(self), (self.message, self.token))
 
 
-# Binary operator precedence, loosest first.
-_BINARY_LEVELS: list[tuple[TokenKind, ...]] = [
-    (TokenKind.OR,),
-    (TokenKind.AND,),
-    (TokenKind.EQ, TokenKind.NEQ, TokenKind.SPACESHIP),
-    (TokenKind.LT, TokenKind.GT, TokenKind.LE, TokenKind.GE),
-    (TokenKind.PLUS, TokenKind.MINUS),
-    (TokenKind.STAR, TokenKind.SLASH, TokenKind.PERCENT),
-    (TokenKind.POWER,),
-]
+#: Binary operator precedence for :meth:`Parser._parse_binary`; a higher
+#: number binds tighter, and every level is left-associative.  ``**`` and
+#: the ``as`` / ``instanceof`` casts sit below this table, at the operand
+#: level (:meth:`Parser._parse_power`).
+_PREC: dict[TokenKind, int] = {
+    TokenKind.OR: 1,
+    TokenKind.AND: 2,
+    TokenKind.EQ: 3,
+    TokenKind.NEQ: 3,
+    TokenKind.SPACESHIP: 3,
+    TokenKind.LT: 4,
+    TokenKind.GT: 4,
+    TokenKind.LE: 4,
+    TokenKind.GE: 4,
+    TokenKind.PLUS: 5,
+    TokenKind.MINUS: 5,
+    TokenKind.STAR: 6,
+    TokenKind.SLASH: 6,
+    TokenKind.PERCENT: 6,
+}
 
 
 class Parser:
@@ -63,15 +73,16 @@ class Parser:
     # ------------------------------------------------------------------
     # Token helpers
     # ------------------------------------------------------------------
+    # ``pos`` never moves past the final EOF token (see :meth:`_advance`),
+    # so the current token is always ``self.tokens[self.pos]``.
     def _peek(self, offset: int = 0) -> Token:
-        index = min(self.pos + offset, len(self.tokens) - 1)
-        return self.tokens[index]
+        if offset:
+            return self.tokens[min(self.pos + offset, len(self.tokens) - 1)]
+        return self.tokens[self.pos]
 
     def _at(self, kind: TokenKind, value: object = None) -> bool:
-        token = self._peek()
-        if token.kind is not kind:
-            return False
-        return value is None or token.value == value
+        token = self.tokens[self.pos]
+        return token.kind is kind and (value is None or token.value == value)
 
     def _advance(self) -> Token:
         token = self.tokens[self.pos]
@@ -437,7 +448,7 @@ class Parser:
         return self._parse_ternary()
 
     def _parse_ternary(self) -> ast.Expr:
-        cond = self._parse_binary(0)
+        cond = self._parse_binary()
         if self._at(TokenKind.ELVIS):
             line = self._advance().line
             default = self._parse_ternary()
@@ -450,18 +461,31 @@ class Parser:
             return ast.Ternary(cond=cond, then=then, otherwise=otherwise, line=line)
         return cond
 
-    def _parse_binary(self, level: int) -> ast.Expr:
-        if level >= len(_BINARY_LEVELS):
-            return self._parse_unary()
-        kinds = _BINARY_LEVELS[level]
-        left = self._parse_binary(level + 1)
-        while self._peek().kind in kinds:
-            op_token = self._advance()
-            right = self._parse_binary(level + 1)
+    def _parse_binary(self, min_prec: int = 1) -> ast.Expr:
+        """Precedence climbing over :data:`_PREC`."""
+        left = self._parse_power()
+        tokens = self.tokens
+        while True:
+            op_token = tokens[self.pos]
+            prec = _PREC.get(op_token.kind, 0)
+            if prec < min_prec:
+                return left
+            self.pos += 1
+            right = self._parse_binary(prec + 1)
             left = ast.BinaryOp(
                 op=str(op_token.value), left=left, right=right, line=op_token.line
             )
-        # "x as Integer" casts and "x instanceof Y" — parse loosely.
+
+    def _parse_power(self) -> ast.Expr:
+        """A left-associative ``**`` chain, then any ``as`` / ``instanceof``
+        casts, which apply to the whole chain (parsed loosely)."""
+        left = self._parse_unary()
+        while self._at(TokenKind.POWER):
+            op_token = self._advance()
+            right = self._parse_unary()
+            left = ast.BinaryOp(
+                op=str(op_token.value), left=left, right=right, line=op_token.line
+            )
         while self._at(TokenKind.IDENT, "as") or self._at(
             TokenKind.KEYWORD, "instanceof"
         ):

@@ -1,4 +1,4 @@
-"""The fast BDD kernel: flat arrays, packed keys, iterative traversals.
+"""The fast BDD kernel: flat arrays, packed keys, lean traversals.
 
 Same contract as the reference kernel (:class:`repro.mc.bdd.BDD`) —
 integer node ids with ``FALSE == 0`` / ``TRUE == 1``, id-stable grouped
@@ -14,12 +14,18 @@ for CPython throughput instead of readability:
   integers* — one ``(level << 56) | (low << 28) | high`` int per triple
   — in CPython's open-addressed hash tables, skipping per-probe tuple
   allocation and triple hashing.
-* ``and``/``or``/``not``/``ite``, quantification, renaming, restriction
-  and counting run as iterative explicit-stack loops (no Python-level
-  recursion): stack frames are packed ints too, and the hot loops bind
-  every table to a local.
+* ``and``/``or``/``and_not`` and cube cofactors recurse through a local
+  closure that binds every table: a Python-to-Python call is cheaper
+  than pushing, popping and re-decoding a packed-int stack frame, and
+  the depth is bounded by the variable count (each call descends at
+  least one level), as in the reference kernel.  ``not``/``ite``,
+  quantification, renaming, restriction and counting run as iterative
+  explicit-stack loops whose frames are packed ints too.
 * :meth:`and_exists_list` keeps the exact greedy early-quantification
   schedule of the base class but runs it on integer bitmask supports.
+  When one conjunct is a cube over exactly the quantified variables —
+  the partitioned preimage's ``exists W . states & (W = values)`` — the
+  product is a plain cofactor instead, one single-operand pass.
 
 The kernel is *proven* against the reference manager, not trusted: the
 cross-kernel differential suite (``tests/test_backends_differential.py``
@@ -50,7 +56,6 @@ _DEAD_LEVEL = -1
 
 #: Phase/ready bits for packed stack frames.
 _READY1 = 1 << 60          # unary loops: frame = node (+ _READY1)
-_READY2 = 1 << 56          # binary loops: frame = (a << 28) | b (+ _READY2)
 _READY3 = 1 << 84          # ite: frame = (f << 56) | (g << 28) | h (+ _READY3)
 _PH = 58                   # and_exists: frame = (phase << 58) | (a << 28) | b
 _PH_MASK = (1 << _PH) - 1
@@ -88,6 +93,13 @@ class FastKernel(KernelBase):
         self._ex_caches: dict[int, dict[int, int]] = {}
         #: Whole-query memo for and_exists_list products.
         self._ael_cache: dict[tuple, int] = {}
+        #: Persistent cube-cofactor tables, one per cube node id.  Keyed
+        #: by ids, not levels, so they survive swaps like the plain op
+        #: tables and go only when collect() may have killed an entry.
+        self._cof_caches: dict[int, dict[int, int]] = {}
+        #: node id -> (levels, values) bitmasks when the node is a cube,
+        #: else None; levels move on a swap, so swaps drop it.
+        self._cube_cache: dict[int, tuple[int, int] | None] = {}
         #: node id -> bitmask of support levels.
         self._support_mask_cache: dict[int, int] = {}
         #: Live (non-terminal, non-collected) node count — O(1) live_size.
@@ -150,7 +162,7 @@ class FastKernel(KernelBase):
         self._index_dirty = False
 
     # ------------------------------------------------------------------
-    # Binary connectives (iterative, specialized)
+    # Binary connectives (recursive closures, specialized)
     # ------------------------------------------------------------------
     def and_(self, f: int, g: int) -> int:
         if f > g:
@@ -162,8 +174,7 @@ class FastKernel(KernelBase):
         if f == g:
             return f
         cache = self._and_cache
-        root_key = (f << _SH) | g
-        result = cache.get(root_key)
+        result = cache.get((f << _SH) | g)
         if result is not None:
             self._cache_lookups += 1
             self._cache_hits += 1
@@ -172,66 +183,44 @@ class FastKernel(KernelBase):
         low = self._low
         high = self._high
         unique = self._unique
-        lookups = hits = created = 0
-        stack = [root_key]
-        push = stack.append
-        while stack:
-            frame = stack.pop()
-            if frame < _READY2:
-                lookups += 1
-                if frame in cache:
-                    hits += 1
-                    continue
-                a = frame >> _SH
-                b = frame & _ID_MASK
-                la = level[a]
-                lb = level[b]
-                if la < lb:
-                    a0 = low[a]; a1 = high[a]; b0 = b; b1 = b
-                elif lb < la:
-                    a0 = a; a1 = a; b0 = low[b]; b1 = high[b]
-                else:
-                    a0 = low[a]; a1 = high[a]; b0 = low[b]; b1 = high[b]
-                push(frame | _READY2)
-                if a1 > b1:
-                    a1, b1 = b1, a1
-                if a1 > 1 and a1 != b1:
-                    push((a1 << _SH) | b1)
-                if a0 > b0:
-                    a0, b0 = b0, a0
-                if a0 > 1 and a0 != b0:
-                    push((a0 << _SH) | b0)
+        cache_get = cache.get
+        lookups = 0
+
+        def rec(a: int, b: int) -> int:
+            # Non-terminal operands with a < b (the canonical key order).
+            nonlocal lookups
+            lookups += 1
+            key = (a << _SH) | b
+            res = cache_get(key)
+            if res is not None:
+                return res
+            la = level[a]
+            lb = level[b]
+            if la < lb:
+                lv = la; a0 = low[a]; a1 = high[a]; b0 = b; b1 = b
+            elif lb < la:
+                lv = lb; a0 = a; a1 = a; b0 = low[b]; b1 = high[b]
             else:
-                key = frame ^ _READY2
-                a = key >> _SH
-                b = key & _ID_MASK
-                la = level[a]
-                lb = level[b]
-                if la < lb:
-                    lv = la; a0 = low[a]; a1 = high[a]; b0 = b; b1 = b
-                elif lb < la:
-                    lv = lb; a0 = a; a1 = a; b0 = low[b]; b1 = high[b]
-                else:
-                    lv = la; a0 = low[a]; a1 = high[a]; b0 = low[b]; b1 = high[b]
-                if a0 > b0:
-                    a0, b0 = b0, a0
-                if a0 == 0:
-                    r0 = 0
-                elif a0 == 1 or a0 == b0:
-                    r0 = b0
-                else:
-                    r0 = cache[(a0 << _SH) | b0]
-                if a1 > b1:
-                    a1, b1 = b1, a1
-                if a1 == 0:
-                    r1 = 0
-                elif a1 == 1 or a1 == b1:
-                    r1 = b1
-                else:
-                    r1 = cache[(a1 << _SH) | b1]
-                if r0 == r1:
-                    cache[key] = r0
-                    continue
+                lv = la; a0 = low[a]; a1 = high[a]; b0 = low[b]; b1 = high[b]
+            if a0 > b0:
+                a0, b0 = b0, a0
+            if a0 == 0:
+                r0 = 0
+            elif a0 == 1 or a0 == b0:
+                r0 = b0
+            else:
+                r0 = rec(a0, b0)
+            if a1 > b1:
+                a1, b1 = b1, a1
+            if a1 == 0:
+                r1 = 0
+            elif a1 == 1 or a1 == b1:
+                r1 = b1
+            else:
+                r1 = rec(a1, b1)
+            if r0 == r1:
+                res = r0
+            else:
                 unique_key = (lv << 56) | (r0 << _SH) | r1
                 res = unique.get(unique_key)
                 if res is None:
@@ -242,14 +231,14 @@ class FastKernel(KernelBase):
                     low.append(r0)
                     high.append(r1)
                     unique[unique_key] = res
-                    created += 1
-                cache[key] = res
-        self._cache_lookups += lookups
-        self._cache_hits += hits
-        if created:
-            self._live += created
-            self._index_dirty = True
-        return cache[root_key]
+            cache[key] = res
+            return res
+
+        nodes = len(level)
+        entries = len(cache)
+        result = rec(f, g)
+        self._count_apply(lookups, len(cache) - entries, len(level) - nodes)
+        return result
 
     def and_not(self, f: int, g: int) -> int:
         """Fused ``f & ~g`` — no canonicalization (not symmetric), its
@@ -262,8 +251,7 @@ class FastKernel(KernelBase):
         if f == 1:
             return self.not_(g)
         cache = self._andnot_cache
-        root_key = (f << _SH) | g
-        result = cache.get(root_key)
+        result = cache.get((f << _SH) | g)
         if result is not None:
             self._cache_lookups += 1
             self._cache_hits += 1
@@ -273,62 +261,44 @@ class FastKernel(KernelBase):
         high = self._high
         unique = self._unique
         not_ = self.not_
-        lookups = hits = created = 0
-        stack = [root_key]
-        push = stack.append
-        while stack:
-            frame = stack.pop()
-            if frame < _READY2:
-                lookups += 1
-                if frame in cache:
-                    hits += 1
-                    continue
-                a = frame >> _SH
-                b = frame & _ID_MASK
-                la = level[a]
-                lb = level[b]
-                if la < lb:
-                    a0 = low[a]; a1 = high[a]; b0 = b; b1 = b
-                elif lb < la:
-                    a0 = a; a1 = a; b0 = low[b]; b1 = high[b]
-                else:
-                    a0 = low[a]; a1 = high[a]; b0 = low[b]; b1 = high[b]
-                push(frame | _READY2)
-                if a1 > 1 and 1 < b1 != a1:
-                    push((a1 << _SH) | b1)
-                if a0 > 1 and 1 < b0 != a0:
-                    push((a0 << _SH) | b0)
+        cache_get = cache.get
+        lookups = 0
+
+        def rec(a: int, b: int) -> int:
+            # Non-terminal operands, a != b.
+            nonlocal lookups
+            lookups += 1
+            key = (a << _SH) | b
+            res = cache_get(key)
+            if res is not None:
+                return res
+            la = level[a]
+            lb = level[b]
+            if la < lb:
+                lv = la; a0 = low[a]; a1 = high[a]; b0 = b; b1 = b
+            elif lb < la:
+                lv = lb; a0 = a; a1 = a; b0 = low[b]; b1 = high[b]
             else:
-                key = frame ^ _READY2
-                a = key >> _SH
-                b = key & _ID_MASK
-                la = level[a]
-                lb = level[b]
-                if la < lb:
-                    lv = la; a0 = low[a]; a1 = high[a]; b0 = b; b1 = b
-                elif lb < la:
-                    lv = lb; a0 = a; a1 = a; b0 = low[b]; b1 = high[b]
-                else:
-                    lv = la; a0 = low[a]; a1 = high[a]; b0 = low[b]; b1 = high[b]
-                if a0 == 0 or b0 == 1 or a0 == b0:
-                    r0 = 0
-                elif b0 == 0:
-                    r0 = a0
-                elif a0 == 1:
-                    r0 = not_(b0)
-                else:
-                    r0 = cache[(a0 << _SH) | b0]
-                if a1 == 0 or b1 == 1 or a1 == b1:
-                    r1 = 0
-                elif b1 == 0:
-                    r1 = a1
-                elif a1 == 1:
-                    r1 = not_(b1)
-                else:
-                    r1 = cache[(a1 << _SH) | b1]
-                if r0 == r1:
-                    cache[key] = r0
-                    continue
+                lv = la; a0 = low[a]; a1 = high[a]; b0 = low[b]; b1 = high[b]
+            if a0 == 0 or b0 == 1 or a0 == b0:
+                r0 = 0
+            elif b0 == 0:
+                r0 = a0
+            elif a0 == 1:
+                r0 = not_(b0)
+            else:
+                r0 = rec(a0, b0)
+            if a1 == 0 or b1 == 1 or a1 == b1:
+                r1 = 0
+            elif b1 == 0:
+                r1 = a1
+            elif a1 == 1:
+                r1 = not_(b1)
+            else:
+                r1 = rec(a1, b1)
+            if r0 == r1:
+                res = r0
+            else:
                 unique_key = (lv << 56) | (r0 << _SH) | r1
                 res = unique.get(unique_key)
                 if res is None:
@@ -339,14 +309,14 @@ class FastKernel(KernelBase):
                     low.append(r0)
                     high.append(r1)
                     unique[unique_key] = res
-                    created += 1
-                cache[key] = res
-        self._cache_lookups += lookups
-        self._cache_hits += hits
-        if created:
-            self._live += created
-            self._index_dirty = True
-        return cache[root_key]
+            cache[key] = res
+            return res
+
+        nodes = len(level)
+        entries = len(cache)
+        result = rec(f, g)
+        self._count_apply(lookups, len(cache) - entries, len(level) - nodes)
+        return result
 
     def or_(self, f: int, g: int) -> int:
         if f > g:
@@ -356,8 +326,7 @@ class FastKernel(KernelBase):
         if f == 0 or f == g:
             return g
         cache = self._or_cache
-        root_key = (f << _SH) | g
-        result = cache.get(root_key)
+        result = cache.get((f << _SH) | g)
         if result is not None:
             self._cache_lookups += 1
             self._cache_hits += 1
@@ -366,66 +335,44 @@ class FastKernel(KernelBase):
         low = self._low
         high = self._high
         unique = self._unique
-        lookups = hits = created = 0
-        stack = [root_key]
-        push = stack.append
-        while stack:
-            frame = stack.pop()
-            if frame < _READY2:
-                lookups += 1
-                if frame in cache:
-                    hits += 1
-                    continue
-                a = frame >> _SH
-                b = frame & _ID_MASK
-                la = level[a]
-                lb = level[b]
-                if la < lb:
-                    a0 = low[a]; a1 = high[a]; b0 = b; b1 = b
-                elif lb < la:
-                    a0 = a; a1 = a; b0 = low[b]; b1 = high[b]
-                else:
-                    a0 = low[a]; a1 = high[a]; b0 = low[b]; b1 = high[b]
-                push(frame | _READY2)
-                if a1 > b1:
-                    a1, b1 = b1, a1
-                if a1 > 1 and a1 != b1:
-                    push((a1 << _SH) | b1)
-                if a0 > b0:
-                    a0, b0 = b0, a0
-                if a0 > 1 and a0 != b0:
-                    push((a0 << _SH) | b0)
+        cache_get = cache.get
+        lookups = 0
+
+        def rec(a: int, b: int) -> int:
+            # Non-terminal operands with a < b (the canonical key order).
+            nonlocal lookups
+            lookups += 1
+            key = (a << _SH) | b
+            res = cache_get(key)
+            if res is not None:
+                return res
+            la = level[a]
+            lb = level[b]
+            if la < lb:
+                lv = la; a0 = low[a]; a1 = high[a]; b0 = b; b1 = b
+            elif lb < la:
+                lv = lb; a0 = a; a1 = a; b0 = low[b]; b1 = high[b]
             else:
-                key = frame ^ _READY2
-                a = key >> _SH
-                b = key & _ID_MASK
-                la = level[a]
-                lb = level[b]
-                if la < lb:
-                    lv = la; a0 = low[a]; a1 = high[a]; b0 = b; b1 = b
-                elif lb < la:
-                    lv = lb; a0 = a; a1 = a; b0 = low[b]; b1 = high[b]
-                else:
-                    lv = la; a0 = low[a]; a1 = high[a]; b0 = low[b]; b1 = high[b]
-                if a0 > b0:
-                    a0, b0 = b0, a0
-                if a0 == 1:
-                    r0 = 1
-                elif a0 == 0 or a0 == b0:
-                    r0 = b0
-                else:
-                    r0 = cache[(a0 << _SH) | b0]
-                if a1 > b1:
-                    a1, b1 = b1, a1
-                if a1 == 1:
-                    r1 = 1
-                elif a1 == 0 or a1 == b1:
-                    r1 = b1
-                else:
-                    r1 = cache[(a1 << _SH) | b1]
-                if r0 == r1:
-                    cache[key] = r0
-                    continue
+                lv = la; a0 = low[a]; a1 = high[a]; b0 = low[b]; b1 = high[b]
+            if a0 > b0:
+                a0, b0 = b0, a0
+            if a0 == 1:
+                r0 = 1
+            elif a0 == 0 or a0 == b0:
+                r0 = b0
+            else:
+                r0 = rec(a0, b0)
+            if a1 > b1:
+                a1, b1 = b1, a1
+            if a1 == 1:
+                r1 = 1
+            elif a1 == 0 or a1 == b1:
+                r1 = b1
+            else:
+                r1 = rec(a1, b1)
+            if r0 == r1:
+                res = r0
+            else:
                 unique_key = (lv << 56) | (r0 << _SH) | r1
                 res = unique.get(unique_key)
                 if res is None:
@@ -436,14 +383,22 @@ class FastKernel(KernelBase):
                     low.append(r0)
                     high.append(r1)
                     unique[unique_key] = res
-                    created += 1
-                cache[key] = res
+            cache[key] = res
+            return res
+
+        nodes = len(level)
+        entries = len(cache)
+        result = rec(f, g)
+        self._count_apply(lookups, len(cache) - entries, len(level) - nodes)
+        return result
+
+    def _count_apply(self, lookups: int, misses: int, created: int) -> None:
+        """Book one recursive apply: every miss added one cache entry."""
         self._cache_lookups += lookups
-        self._cache_hits += hits
+        self._cache_hits += lookups - misses
         if created:
             self._live += created
             self._index_dirty = True
-        return cache[root_key]
 
     def not_(self, f: int) -> int:
         if f < 2:
@@ -896,6 +851,24 @@ class FastKernel(KernelBase):
         hit = ael_cache.get(query_key)
         if hit is not None:
             return hit
+        if qmask:
+            # A conjunct that is a cube over exactly the quantified
+            # levels fixes every one of them: the product is the other
+            # conjuncts cofactored on the cube — the partitioned
+            # preimage's (states, written-values cube) shape.
+            for idx, item in enumerate(items):
+                cube = self._cube_of(item)
+                if cube is not None and cube[0] == qmask:
+                    values = cube[1]
+                    acc = self.conj(
+                        [
+                            self._cofactor(other, item, qmask, values)
+                            for j, other in enumerate(items)
+                            if j != idx
+                        ]
+                    )
+                    ael_cache[query_key] = acc
+                    return acc
         supports = [self._support_mask(f) for f in items]
         remaining = list(range(len(items)))
         acc = 1
@@ -928,6 +901,91 @@ class FastKernel(KernelBase):
                 break
         ael_cache[query_key] = acc
         return acc
+
+    def _cube_of(self, f: int) -> tuple[int, int] | None:
+        """``(levels, values)`` bitmasks of ``f`` when it is a cube (a
+        single path to TRUE: every node has exactly one FALSE child),
+        else None.  ``values`` has a bit set per positive literal."""
+        cache = self._cube_cache
+        if f in cache:
+            return cache[f]
+        level = self._level
+        low = self._low
+        high = self._high
+        levels = values = 0
+        node = f
+        while node > 1:
+            lv = level[node]
+            if low[node] == 0:
+                values |= 1 << lv
+                node = high[node]
+            elif high[node] == 0:
+                node = low[node]
+            else:
+                break
+            levels |= 1 << lv
+        result = (levels, values) if node == 1 else None
+        cache[f] = result
+        return result
+
+    def _cofactor(self, f: int, cube: int, levels: int, values: int) -> int:
+        """``f`` restricted to the cube ``cube`` (whose bitmasks are
+        ``levels``/``values``), i.e. ``exists levels . f & cube``.
+
+        One single-operand pass instead of the paired and-exists
+        traversal, memoized per cube across calls; a node below the
+        cube's deepest level is its own cofactor and is not entered.
+        """
+        level = self._level
+        deepest = levels.bit_length() - 1
+        if level[f] > deepest:
+            return f
+        cache = self._cof_caches.get(cube)
+        if cache is None:
+            cache = self._cof_caches[cube] = {}
+        low = self._low
+        high = self._high
+        unique = self._unique
+        cache_get = cache.get
+
+        def rec(node: int) -> int:
+            # ``node`` sits at or above the deepest cube level.
+            res = cache_get(node)
+            if res is not None:
+                return res
+            lv = level[node]
+            if (levels >> lv) & 1:
+                child = high[node] if (values >> lv) & 1 else low[node]
+                res = child if level[child] > deepest else rec(child)
+            else:
+                c0 = low[node]
+                c1 = high[node]
+                r0 = c0 if level[c0] > deepest else rec(c0)
+                r1 = c1 if level[c1] > deepest else rec(c1)
+                if r0 == r1:
+                    res = r0
+                else:
+                    unique_key = (lv << 56) | (r0 << _SH) | r1
+                    res = unique.get(unique_key)
+                    if res is None:
+                        res = len(level)
+                        if res >= _DEAD_CHILD:
+                            raise RuntimeError(
+                                "fast kernel node-id space exhausted"
+                            )
+                        level.append(lv)
+                        low.append(r0)
+                        high.append(r1)
+                        unique[unique_key] = res
+            cache[node] = res
+            return res
+
+        nodes = len(level)
+        result = rec(f)
+        if len(level) > nodes:
+            self._live += len(level) - nodes
+            self._index_dirty = True
+        return result
 
     def _support_mask(self, f: int) -> int:
         """Bitmask of the levels ``f`` depends on (memoized)."""
@@ -1286,6 +1344,7 @@ class FastKernel(KernelBase):
         self._drop_op_caches()
         self._support_cache.clear()
         self._support_mask_cache.clear()
+        self._cube_cache.clear()
         self._gc_runs += 1
         self._nodes_collected += collected
         return collected
@@ -1368,6 +1427,7 @@ class FastKernel(KernelBase):
         self._var_ids[name_b] = level_index
         self._support_cache.clear()
         self._support_mask_cache.clear()
+        self._cube_cache.clear()
         # Ids are stable across the swap (same id, same function), so the
         # id-keyed op caches stay valid — but the quantification tables
         # are keyed by *level* masks, which just moved.
@@ -1390,6 +1450,7 @@ class FastKernel(KernelBase):
             + len(self._ite_cache)
             + sum(len(table) for table in self._ae_caches.values())
             + sum(len(table) for table in self._ex_caches.values())
+            + sum(len(table) for table in self._cof_caches.values())
         )
 
     def _drop_op_caches(self) -> None:
@@ -1401,3 +1462,4 @@ class FastKernel(KernelBase):
         self._ae_caches.clear()
         self._ex_caches.clear()
         self._ael_cache.clear()
+        self._cof_caches.clear()

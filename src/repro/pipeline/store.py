@@ -34,12 +34,17 @@ Two layers share one keyspace:
           check/<key>.pkl
           analysis/<app id>-<source sha256>.pkl   (whole-result facade)
           sweep/<key>.pkl                         (whole-result facade)
+          shape/<key>.pkl                         (fleet app shapes)
+          fleet/<key>.pkl                         (fleet household verdicts)
 
   The ``analysis``/``sweep`` stages are the PR-2 whole-result caches
   (:class:`repro.corpus.diskcache.DiskCache` /
   :class:`~repro.corpus.diskcache.SweepCache`), now facades over this
   store: a finished :class:`~repro.soteria.AppAnalysis` is just the
-  coarsest artifact of the pipeline.
+  coarsest artifact of the pipeline.  ``shape`` holds the fleet's
+  per-app canonical shapes (:func:`repro.fleet.canon.app_shape`, keyed
+  on the source digest) and ``fleet`` its household verdicts
+  (:class:`repro.corpus.diskcache.FleetCache`).
 
 The pipeline version is a directory level: bumping
 :data:`PIPELINE_VERSION` orphans every older entry at once (lookups only
@@ -76,11 +81,10 @@ PIPELINE_VERSION = "7"   # 7: SAT/BDD portfolio backends — check outcomes
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 
 #: Stage names in pipeline order (display order for ``soteria cache``).
-#: ``fleet`` is the coarsest tier: one household verdict per canonical
-#: household form (:class:`repro.corpus.diskcache.FleetCache`).
+#: ``shape`` and ``fleet`` are the fleet-screening tiers.
 STAGE_ORDER = (
     "parse", "ir", "model", "kripke", "union", "check", "analysis", "sweep",
-    "fleet",
+    "shape", "fleet",
 )
 
 #: Default bound on live objects held by the memory layer.  Analyses of

@@ -315,6 +315,81 @@ class TestEveryKernel:
         assert kernel.and_not(a, kernel.FALSE) == a
         assert kernel.and_not(kernel.TRUE, a) == kernel.not_(a)
 
+    # -- relational product with a cube conjunct -----------------------
+    def test_and_exists_list_with_cube_over_quantified_vars(self, kernel):
+        a, b, c, d = (kernel.var(name) for name in "abcd")
+        f = kernel.or_(kernel.xor(a, c), kernel.and_(b, d))
+        cube = kernel.and_(a, kernel.not_(b))
+        expected = kernel.restrict(f, {"a": True, "b": False})
+        assert kernel.and_exists_list(["a", "b"], [f, cube]) == expected
+        assert kernel.and_exists_list(["b", "a"], [cube, f]) == expected
+        assert kernel.and_exists_list(["a", "b"], [f, cube, c]) == (
+            kernel.and_(expected, c)
+        )
+
+    def test_and_exists_list_with_cube_over_other_vars(self, kernel):
+        a, b, c, d = (kernel.var(name) for name in "abcd")
+        f = kernel.or_(kernel.xor(a, c), kernel.and_(b, d))
+        cube = kernel.and_(a, kernel.not_(b))
+        # The cube fixes more than is quantified, or less: no cofactor.
+        assert kernel.and_exists_list(["a"], [f, cube]) == kernel.exists(
+            ["a"], kernel.and_(f, cube)
+        )
+        assert kernel.and_exists_list(["a", "b", "c"], [f, cube]) == (
+            kernel.exists(["a", "b", "c"], kernel.and_(f, cube))
+        )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    boolean_exprs(),
+    st.dictionaries(st.sampled_from(_VARS), st.booleans(), min_size=1),
+)
+def test_cube_product_matches_truth_table_on_every_kernel(expr, fixed):
+    # exists fixed . (f & cube(fixed)) == f with the fixed values plugged in.
+    for name in available_kernels():
+        manager = make_kernel(name)
+        for var in _VARS:
+            manager.add_var(var)
+        cube = manager.TRUE
+        for var, value in fixed.items():
+            literal = manager.var(var) if value else manager.nvar(var)
+            cube = manager.and_(cube, literal)
+        product = manager.and_exists_list(
+            sorted(fixed), [_build_bdd(manager, expr), cube]
+        )
+        for values in itertools.product([False, True], repeat=len(_VARS)):
+            env = dict(zip(_VARS, values))
+            assert manager.evaluate(product, env) == _eval_expr(
+                expr, {**env, **fixed}
+            )
+
+
+def test_fast_cube_cofactor_survives_a_swap_and_collection():
+    manager = make_kernel("fast")
+    for name in "abcdef":
+        manager.add_var(name)
+    a, b, c, d, e, f = (manager.var(name) for name in "abcdef")
+    states = manager.protect(
+        manager.or_(manager.and_(manager.xor(a, e), c), manager.and_(b, f))
+    )
+    cube = manager.protect(manager.and_(manager.not_(a), manager.and_(b, d)))
+    fixed = {"a": False, "b": True, "d": True}
+    expected = manager.protect(manager.restrict(states, fixed))
+    assert manager.and_exists_list(sorted(fixed), [states, cube]) == expected
+    # A swap moves levels under the cube but keeps every id's function:
+    # the per-cube table stays, the level masks are recomputed.
+    manager.swap_adjacent(0)
+    assert manager.and_exists_list(sorted(fixed), [states, cube]) == expected
+    wider = manager.protect(manager.or_(states, manager.and_(manager.not_(b), e)))
+    assert manager.and_exists_list(sorted(fixed), [wider, cube]) == (
+        manager.restrict(wider, fixed)
+    )
+    # Collection drops the tables (entries may name dead ids).
+    manager.collect()
+    assert manager.and_exists_list(sorted(fixed), [states, cube]) == expected
+    assert manager.and_exists_list(["a", "b", "d"], [cube, states]) == expected
+
 
 @settings(max_examples=40, deadline=None)
 @given(boolean_exprs(), boolean_exprs())

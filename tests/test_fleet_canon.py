@@ -8,6 +8,7 @@ rename) separate.  These tests exercise both directions — including the
 verdict half, by actually union-checking a renamed household pair.
 """
 
+import hashlib
 import random
 
 import pytest
@@ -15,14 +16,17 @@ import pytest
 from repro.corpus.loader import scoped_registration
 from repro.fleet.canon import (
     RENAME_TAGS,
+    AppShape,
     app_shape,
     household_key,
     household_key_for_sources,
     rename_variant,
 )
 from repro.fleet.driver import FleetOptions, check_household
-from repro.fleet.profiles import Household, Member
+from repro.fleet.profiles import FleetProfile, Household, Member, TemplatePool
 from repro.gen.generator import generate_cluster
+from repro.pipeline.store import ArtifactStore, artifact_key
+from repro.platform.smartapp import SmartApp
 
 
 def _source(name: str, handle: str, shared: str | None = None) -> str:
@@ -166,3 +170,95 @@ class TestVerdictParity:
             second = check_household(renamed, key, options)
         assert not first.failed and not second.failed
         assert first.violated_ids() == second.violated_ids()
+
+
+class TestShapeStore:
+    """``app_shape`` is the ``shape`` stage of the artifact store."""
+
+    SOURCE = _source("Shape App", "porch_light", shared="fan")
+
+    def _parses(self, monkeypatch) -> list[str]:
+        """Record every source the canonicalizer parses."""
+        parsed: list[str] = []
+        original = SmartApp.from_source.__func__
+
+        def counting(cls, source, name=None):
+            if name == "canon":
+                parsed.append(source)
+            return original(cls, source, name)
+
+        monkeypatch.setattr(SmartApp, "from_source", classmethod(counting))
+        return parsed
+
+    def test_keyed_on_the_source_digest(self, tmp_path):
+        store = ArtifactStore(tmp_path)
+        shape = app_shape(self.SOURCE, store)
+        digest = hashlib.sha256(self.SOURCE.encode("utf-8")).hexdigest()
+        key = artifact_key("shape", [digest])
+        assert store.contains_disk("shape", key)
+        assert ArtifactStore(tmp_path).get("shape", key, AppShape) == shape
+
+    def test_one_parse_per_store(self, tmp_path, monkeypatch):
+        parsed = self._parses(monkeypatch)
+        store = ArtifactStore(tmp_path)
+        first = app_shape(self.SOURCE, store)
+        assert app_shape(self.SOURCE, store) == first
+        rename_variant(self.SOURCE, "rev", store)  # reuses the stored shape
+        assert parsed == [self.SOURCE]
+        # A fresh store over the same directory reads the shape from disk.
+        assert app_shape(self.SOURCE, ArtifactStore(tmp_path)) == first
+        assert parsed == [self.SOURCE]
+
+    def test_truncated_pickle_is_a_deleted_miss(self, tmp_path, monkeypatch):
+        shape = app_shape(self.SOURCE, ArtifactStore(tmp_path))
+        (path,) = ArtifactStore(tmp_path).entries("shape")
+        path.write_bytes(path.read_bytes()[:10])
+        parsed = self._parses(monkeypatch)
+        store = ArtifactStore(tmp_path)
+        assert app_shape(self.SOURCE, store) == shape
+        assert parsed == [self.SOURCE]
+        assert store.counters()["shape"]["misses"] == 1
+        # The corrupt entry was replaced by a readable one.
+        assert ArtifactStore(tmp_path).get("shape", path.stem, AppShape) == shape
+
+    def test_other_version_never_serves_a_shape(self, tmp_path, monkeypatch):
+        digest = hashlib.sha256(self.SOURCE.encode("utf-8")).hexdigest()
+        bogus = AppShape(signature="stale", devices={})
+        ArtifactStore(tmp_path, version="old").put(
+            "shape", artifact_key("shape", [digest]), bogus
+        )
+        parsed = self._parses(monkeypatch)
+        store = ArtifactStore(tmp_path)
+        assert app_shape(self.SOURCE, store).signature != "stale"
+        assert parsed == [self.SOURCE]
+        assert store.counters()["shape"]["disk_hits"] == 0
+
+
+class TestProfileGolden:
+    """Golden digests recorded before shapes moved into the store and
+    ``rename_variant`` started reading handles off the stored shape."""
+
+    PROFILE = FleetProfile(seed=0, templates=40)
+    VARIANTS_DIGEST = (
+        "fca15d129ae38c323ed92fdcfddc895cffcdff187e2bd9599b2c8e74583ea40c"
+    )
+    KEYS_DIGEST = "9ca777a34785269eefd1c27010d310ae4bfccbf4838a728b3c6169c4f591da22"
+
+    def test_variants_and_keys_are_byte_identical(self, tmp_path):
+        pool = TemplatePool(self.PROFILE, ArtifactStore(tmp_path))
+        slots = [
+            (template, variant)
+            for template in range(self.PROFILE.templates)
+            for variant in range(self.PROFILE.variants)
+        ]
+        assert len(slots) == 160
+        digest = hashlib.sha256()
+        for template, variant in slots:
+            for member in pool.household(template, variant).members:
+                digest.update(member.source.encode("utf-8") + b"\x00")
+            digest.update(b"\x01")
+        assert digest.hexdigest() == self.VARIANTS_DIGEST
+        keys = {pool.canonical_key(template, variant) for template, variant in slots}
+        assert len(keys) == self.PROFILE.templates
+        joined = "\n".join(sorted(keys)).encode("utf-8")
+        assert hashlib.sha256(joined).hexdigest() == self.KEYS_DIGEST

@@ -12,6 +12,10 @@ from repro.fleet.driver import (
 )
 from repro.fleet.profiles import FleetProfile, TemplatePool, sample_stream
 from repro.fleet.telemetry import FleetTelemetry, HouseholdVerdict
+from repro.pipeline import runner
+from repro.pipeline.runner import Pipeline
+from repro.pipeline.store import ArtifactStore
+from repro.platform.smartapp import SmartApp
 
 #: Small profile: a handful of canonical forms, so a serial run stays
 #: in the hundreds of milliseconds.
@@ -107,6 +111,44 @@ class TestDiskTier:
             == cold.telemetry.violating_households
         )
         assert set(warm.verdicts) == set(cold.verdicts)
+
+    def test_shapes_parse_once_cold_and_never_warm(self, tmp_path, monkeypatch):
+        parsed: list[str] = []
+        original = SmartApp.from_source.__func__
+
+        def counting(cls, source, name=None):
+            if name == "canon":  # the canonicalizer's parses only
+                parsed.append(source)
+            return original(cls, source, name)
+
+        monkeypatch.setattr(SmartApp, "from_source", classmethod(counting))
+        options = FleetOptions(jobs=1, cache_dir=str(tmp_path))
+        cold = run_fleet(SMALL, COUNT, options)
+
+        # Exactly one parse per distinct member source: every sampled
+        # skin plus the originals its renames were derived from.
+        pool = TemplatePool(SMALL)
+        sampled = {(t, v) for _i, t, v in sample_stream(SMALL, COUNT)}
+        sampled |= {(t, 0) for t, _v in sampled}
+        distinct = {
+            member.source
+            for template, variant in sampled
+            for member in pool.household(template, variant).members
+        }
+        assert sorted(parsed) == sorted(distinct)
+
+        # A warm re-screen through a fresh pipeline (a new process, as
+        # far as the store's memory layer knows) reads every shape back.
+        parsed.clear()
+        fresh = Pipeline(ArtifactStore(tmp_path))
+        monkeypatch.setitem(runner._pipelines, str(tmp_path), fresh)
+        warm = run_fleet(SMALL, COUNT, options)
+        assert parsed == []
+        assert warm.key_counts == cold.key_counts
+        assert warm.telemetry.fresh_checks == 0
+        shape_hits = fresh.store.counters()["shape"]
+        assert shape_hits["disk_hits"] == len(distinct)
+        assert shape_hits["misses"] == 0
 
     def test_knobs_partition_the_tier(self, tmp_path):
         cache = FleetCache(tmp_path)

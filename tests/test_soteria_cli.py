@@ -141,6 +141,17 @@ class TestCacheCli:
             assert f"\n  {stage}" in out
         assert "total" in out
 
+    def test_lists_the_fleet_tiers(self, tmp_path, capsys):
+        from repro.fleet.driver import FleetOptions, run_fleet
+        from repro.fleet.profiles import FleetProfile
+
+        profile = FleetProfile(seed=7, templates=2, variants=2)
+        run_fleet(profile, 20, FleetOptions(jobs=1, cache_dir=str(tmp_path)))
+        assert main(["cache", "--cache-dir", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        # Display follows STAGE_ORDER: member shapes, then verdicts.
+        assert out.index("\n  shape") < out.index("\n  fleet")
+
     def test_cache_dir_env_respected(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         code = main(["cache"])
