@@ -40,8 +40,8 @@ end to end.
 
 ``--kernel`` selects the BDD kernel the symbolic checker runs on:
 ``fast`` (the array-backed core — the default behind ``auto``),
-``reference`` (the dict-of-nodes manager, kept as the differential
-oracle), or ``dd`` where the optional ``dd``/CUDD package is installed.
+or ``reference`` (the dict-of-nodes manager, kept as the differential
+oracle).
 ``fuzz --kernel both`` runs every symbolic pass on reference AND fast,
 turning each case into a cross-kernel differential.  Symbolic runs print
 a kernel-stats block (live/peak nodes, cache hit rate, reorders) after
@@ -491,8 +491,8 @@ def main(argv: list[str] | None = None) -> int:
         choices=list(KERNEL_CHOICES),
         default="auto",
         help="BDD kernel for the symbolic checker: the array-backed "
-        "fast core (the auto default), the reference dict-of-nodes "
-        "manager, or dd/CUDD where installed",
+        "fast core (the auto default) or the reference dict-of-nodes "
+        "manager",
     )
     p_env.set_defaults(func=_cmd_env)
 

@@ -20,7 +20,6 @@ from repro.corpus.loader import (
     load_environment_sources,
 )
 from repro.corpus.batch import analyze_batch, analyze_corpus
-from repro.corpus.diskcache import DiskCache, PIPELINE_VERSION
 from repro.corpus.sweep import (
     SweepOutcome,
     environment_only_ids,
@@ -30,9 +29,9 @@ from repro.corpus.sweep import (
     sweep_environments,
 )
 from repro.corpus import groundtruth
+from repro.pipeline.store import PIPELINE_VERSION
 
 __all__ = [
-    "DiskCache",
     "PIPELINE_VERSION",
     "SweepOutcome",
     "analyze_batch",

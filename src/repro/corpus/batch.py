@@ -5,15 +5,14 @@ loop of every paper benchmark, the CLI ``corpus`` command, and the example
 scripts.  This module turns that loop into a single call:
 
 * **Cache** — one completed :class:`~repro.soteria.AppAnalysis` per app,
-  keyed on the SHA-256 of the app's source text.  Two layers:
-
-  - an in-process dict (``_CACHE``): repeated sweeps in one process (test
-    fixtures, benchmark rounds, interactive use) parse and analyze each
-    app at most once;
-  - optionally, a disk-backed store (:class:`repro.corpus.diskcache.DiskCache`)
-    under ``cache_dir`` (or ``$REPRO_CACHE_DIR``): fresh processes reuse
-    analyses from earlier runs, additionally keyed on the pipeline
-    version so results never survive a semantic change to the analysis.
+  stored as the ``analysis`` stage of the process-shared artifact store
+  (:func:`repro.pipeline.runner.pipeline_for`) and keyed on the app id
+  plus the SHA-256 of the app's source text.  The store's memory layer
+  serves repeated sweeps in one process (test fixtures, benchmark
+  rounds, interactive use) without re-analysis; with ``cache_dir`` (or
+  ``$REPRO_CACHE_DIR``) its disk layer serves fresh processes too, and
+  the pipeline version in every key keeps results from surviving a
+  semantic change to the analysis.
 
   The loader memoizes sources per process, so the hash key matters when
   those caches are refreshed: after editing an app and clearing
@@ -24,15 +23,14 @@ scripts.  This module turns that loop into a single call:
   environments without working multiprocessing (restricted sandboxes) fall
   back to in-process serial analysis transparently.
 
-Misses run through the staged pipeline (:mod:`repro.pipeline`): with a
-``cache_dir`` configured, each app's per-stage artifacts
-(parse/ir/model/kripke/check) persist next to the whole-analysis blob,
-so later environment sweeps and service submissions replay the per-app
-stages from the same store.
+Misses run through the same pipeline: with a ``cache_dir`` configured,
+each app's per-stage artifacts (parse/ir/model/kripke/check) persist next
+to the whole analysis, so later environment sweeps and service
+submissions replay the per-app stages from the same store.
 
-The caches store finished analyses only; entries are never mutated by the
-driver, so shared use across fixtures is safe as long as callers treat the
-results as read-only (which every benchmark does).
+Entries are never mutated by the driver, so shared use across fixtures
+is safe as long as callers treat the results as read-only (which every
+benchmark does).
 """
 
 from __future__ import annotations
@@ -42,52 +40,29 @@ import hashlib
 import os
 from collections.abc import Iterable
 
-from repro.corpus.diskcache import DiskCache, resolve_cache_dir
 from repro.corpus.loader import app_ids, load_app, load_source
-from repro.pipeline.runner import default_pipeline, pipeline_for
+from repro.pipeline.runner import pipeline_for, shared_stores
+from repro.pipeline.store import artifact_key, resolve_cache_dir
 from repro.soteria import AppAnalysis
 
 #: All dataset names, in the paper's presentation order.
 DATASETS = ("official", "thirdparty", "maliot")
 
-#: Finished analyses keyed on (app id, SHA-256 of the app source).
-_CACHE: dict[tuple[str, str], AppAnalysis] = {}
-
-#: Lifetime cache-effectiveness counters, reported by :func:`cache_info`.
-_STATS = {"memory_hits": 0, "disk_hits": 0, "misses": 0}
+#: Artifact-store stage of finished per-app analyses.
+STAGE = "analysis"
 
 #: Environment override for the worker count (0 or 1 forces serial).
 _JOBS_ENV = "REPRO_BATCH_JOBS"
 
 
-def _source_key(app_id: str) -> tuple[str, str]:
-    digest = hashlib.sha256(load_source(app_id).encode("utf-8")).hexdigest()
-    return (app_id, digest)
-
-
-def _disk_put(disk: DiskCache, key: tuple[str, str], analysis: AppAnalysis) -> None:
-    """Persist best-effort: an unwritable cache volume (read-only CI
-    restore, full disk) must not fail the analysis that produced the
-    result — cache problems degrade to future misses."""
-    try:
-        disk.put(*key, analysis)
-    except Exception:
-        # OSError (read-only volume, full disk) and pickling failures
-        # (unpicklable analysis in a serial-only environment) alike.
-        pass
+def _source_digest(app_id: str) -> str:
+    return hashlib.sha256(load_source(app_id).encode("utf-8")).hexdigest()
 
 
 def _analyze_one(app_id: str, cache_dir: str | os.PathLike | None = None) -> AppAnalysis:
-    """The single compute entry behind every batch miss.
-
-    Runs the staged pipeline for one corpus app — with a disk-backed
-    artifact store when ``cache_dir`` is given, so per-stage artifacts
-    (parse/ir/model/kripke/check) persist alongside the whole-analysis
-    blob and later environment sweeps replay the per-app stages from
-    disk instead of recomputing them.
-    """
-    pipeline = default_pipeline() if cache_dir is None else pipeline_for(cache_dir)
-    return pipeline.app_analysis(load_app(app_id))
+    """The single compute entry behind every batch miss: the staged
+    pipeline for one corpus app, over the shared store of ``cache_dir``."""
+    return pipeline_for(cache_dir).app_analysis(load_app(app_id))
 
 
 def _analyze_worker(
@@ -171,39 +146,27 @@ def analyze_batch(
     are persisted for the next process.  Results come back in input order.
     """
     disk_path = resolve_cache_dir(cache_dir)
-    disk = DiskCache(disk_path) if disk_path is not None else None
+    store = pipeline_for(disk_path).store
 
     ordered = list(dict.fromkeys(ids))
-    keys = {app_id: _source_key(app_id) for app_id in ordered}
+    keys = {
+        app_id: artifact_key(STAGE, [app_id, _source_digest(app_id)])
+        for app_id in ordered
+    }
     results: dict[str, AppAnalysis] = {}
     pending: list[str] = []
     for app_id in ordered:
-        cached = _CACHE.get(keys[app_id])
-        if cached is not None:
-            _STATS["memory_hits"] += 1
+        cached = store.get(STAGE, keys[app_id], AppAnalysis)
+        if cached is None:
+            pending.append(app_id)
+        else:
             results[app_id] = cached
-            if disk is not None and not disk.path_for(*keys[app_id]).exists():
-                # Write-back: analyses computed before the disk layer was
-                # configured still persist for the next process.
-                _disk_put(disk, keys[app_id], cached)
-            continue
-        if disk is not None:
-            stored = disk.get(*keys[app_id])
-            if stored is not None:
-                _STATS["disk_hits"] += 1
-                _CACHE[keys[app_id]] = stored
-                results[app_id] = stored
-                continue
-        pending.append(app_id)
 
     worker_count = _resolve_jobs(jobs, len(pending))
 
     def commit(app_id: str, analysis: AppAnalysis) -> None:
-        _STATS["misses"] += 1
-        _CACHE[keys[app_id]] = analysis
         results[app_id] = analysis
-        if disk is not None:
-            _disk_put(disk, keys[app_id], analysis)
+        store.put(STAGE, keys[app_id], analysis)
 
     if pending and worker_count > 1:
         # Commit pool results immediately: if a later serial retry raises
@@ -237,26 +200,28 @@ def analyze_corpus(
 
 
 def cache_info() -> dict[str, int]:
-    """Cache statistics: in-memory size plus lifetime hit/miss counters.
+    """``analysis``-stage statistics summed over the process-shared stores.
 
-    ``memory_hits``/``disk_hits`` count lookups served by each layer,
-    ``misses`` counts analyses actually (re)computed.  Counters reset with
+    ``entries`` counts analyses held in memory, ``memory_hits``/
+    ``disk_hits`` count lookups served by each layer, ``misses`` counts
+    analyses actually (re)computed.  Counters reset with
     :func:`clear_cache`.
     """
-    return {
-        "entries": len(_CACHE),
-        "hits": _STATS["memory_hits"] + _STATS["disk_hits"],
-        "memory_hits": _STATS["memory_hits"],
-        "disk_hits": _STATS["disk_hits"],
-        "misses": _STATS["misses"],
-    }
+    info = dict.fromkeys(("entries", "memory_hits", "disk_hits", "misses"), 0)
+    for store in shared_stores():
+        info["entries"] += store.memory_entries(STAGE)
+        counts = store.counters().get(STAGE, {})
+        for event in ("memory_hits", "disk_hits", "misses"):
+            info[event] += counts.get(event, 0)
+    info["hits"] = info["memory_hits"] + info["disk_hits"]
+    return info
 
 
 def clear_cache() -> None:
-    """Drop every cached analysis and reset the hit/miss counters.
+    """Empty the memory layer and reset the counters of every
+    process-shared store — what a fresh process would see.
 
-    In-memory only: disk-cache directories belong to their callers.
+    Disk-cache directories belong to their callers and are kept.
     """
-    _CACHE.clear()
-    for key in _STATS:
-        _STATS[key] = 0
+    for store in shared_stores():
+        store.clear_memory()

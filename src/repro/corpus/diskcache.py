@@ -1,362 +1,46 @@
-"""Whole-result disk caches: facades over the stage artifact store.
+"""The fleet tier's key adapter over the artifact store.
 
-Historically this module *was* the persistence layer: one pickled
-:class:`~repro.soteria.AppAnalysis` per app, one
-:class:`~repro.soteria.EnvironmentAnalysis` per swept group.  Since the
-staged-pipeline refactor the general mechanism lives in
-:mod:`repro.pipeline.store` — every pipeline stage persists its own
-content-addressed artifact — and the classes here are thin facades that
-store finished results as the two *coarsest* stages of that layout:
+Every whole-result cache lives in :class:`~repro.pipeline.store.ArtifactStore`
+stages (``analysis``, ``sweep``, ``shape``, ``fleet``); see
+:mod:`repro.pipeline.store` for the on-disk layout.  :class:`FleetCache`
+only turns a canonical household key (:func:`repro.fleet.canon.household_key`)
+plus the checker knobs of a screen into a ``fleet`` artifact key, so
+isomorphic households share one entry and a forced
+``--backend``/``--encoding``/``--kernel`` screen is never served a verdict
+a differently configured screen produced.
 
-* :class:`DiskCache` — stage ``analysis``: one :class:`AppAnalysis` per
-  (app id, source SHA-256), the batch driver's O(1) whole-result probe;
-* :class:`SweepCache` — stage ``sweep``: one :class:`EnvironmentAnalysis`
-  per analyzed app *group*, keyed on the sorted member source digests
-  plus the requested backend/encoding knobs, so a warm ``soteria sweep``
-  skips union-model checking entirely;
-* :class:`FleetCache` — stage ``fleet``: one compact
-  :class:`~repro.fleet.telemetry.HouseholdVerdict` per *canonical*
-  household form (:mod:`repro.fleet.canon`) and knob set, so a warm
-  ``soteria fleet`` run — or a different fleet whose households are
-  isomorphic to an earlier one's — checks nothing at all.
-
-Keying and layout
------------------
-An app entry is keyed on the triple **(app id, source SHA-256, pipeline
-version)**; a sweep entry on **(sorted member source SHA-256s, knobs,
-pipeline version)**.  Both live inside the shared artifact-store tree::
-
-    <cache-dir>/
-      v<PIPELINE_VERSION>/
-        parse/ ir/ model/ kripke/ union/ check/   (per-stage artifacts)
-        analysis/
-          O1-<sha256 of O1's source>.pkl
-          TP12-<sha256 of TP12's source>.pkl
-        sweep/
-          <sha256 over the sorted member digests + knobs>.pkl
-
-* Editing an app changes its source hash — the old entries (and every
-  sweep entry containing it) simply stop being referenced (stale files
-  are cleaned up lazily by :meth:`DiskCache.prune`).
-* Bumping :data:`~repro.pipeline.store.PIPELINE_VERSION` (any change to
-  the analysis semantics: extraction, abstraction, union construction,
-  property catalog, result dataclasses) invalidates every entry at once,
-  because lookups only ever see the current version directory.
-
-Entries are written atomically (temp file + ``os.replace``) so concurrent
-writers — the batch driver's worker processes, parallel CI shards sharing
-a cache volume — never expose a torn pickle.  Unreadable entries (corrupt
-file, pickle from an incompatible interpreter) are treated as misses and
-deleted.
+It stays a class, rather than two store calls inline in the fleet
+driver, because its ``get``/``put`` are the fleet probe the benchmark's
+layer tracer (``perfbench/layers.py``) times.
 """
 
 from __future__ import annotations
 
-import hashlib
-import os
-from collections.abc import Sequence
-from pathlib import Path
+from collections.abc import Mapping
 
 from repro.fleet.telemetry import HouseholdVerdict
-from repro.pipeline.store import (
-    CACHE_DIR_ENV,
-    PIPELINE_VERSION,
-    ArtifactStore,
-    _read_pickle,
-    _write_pickle,
-    resolve_cache_dir,
-)
-from repro.soteria import AppAnalysis, EnvironmentAnalysis
+from repro.pipeline.store import ArtifactStore, artifact_key
 
-__all__ = [
-    "CACHE_DIR_ENV",
-    "PIPELINE_VERSION",
-    "DiskCache",
-    "FleetCache",
-    "SweepCache",
-    "resolve_cache_dir",
-]
-
-
-class DiskCache:
-    """Whole-analysis store: stage ``analysis`` of the artifact tree."""
-
-    STAGE = "analysis"
-
-    def __init__(self, root: str | os.PathLike, version: str = PIPELINE_VERSION):
-        self.root = Path(root)
-        self.version = version
-        self.hits = 0
-        self.misses = 0
-        self.writes = 0
-
-    # ------------------------------------------------------------------
-    @property
-    def version_dir(self) -> Path:
-        return self.root / f"v{self.version}"
-
-    @property
-    def stage_dir(self) -> Path:
-        return self.version_dir / self.STAGE
-
-    def path_for(self, app_id: str, digest: str) -> Path:
-        return self.stage_dir / f"{app_id}-{digest}.pkl"
-
-    # ------------------------------------------------------------------
-    def get(self, app_id: str, digest: str) -> AppAnalysis | None:
-        """The cached analysis for (app id, source digest), or None.
-
-        Counts a hit/miss; a corrupt or unreadable entry counts as a miss
-        and is removed so the next write replaces it cleanly.
-        """
-        analysis = _read_pickle(self.path_for(app_id, digest), AppAnalysis)
-        if analysis is None:
-            self.misses += 1
-            return None
-        self.hits += 1
-        return analysis
-
-    def put(self, app_id: str, digest: str, analysis: AppAnalysis) -> None:
-        """Persist one analysis atomically (temp file + rename)."""
-        _write_pickle(self.path_for(app_id, digest), analysis, prefix=app_id)
-        self.writes += 1
-
-    # ------------------------------------------------------------------
-    def entries(self) -> list[Path]:
-        """Entry files of the *current* pipeline version, sorted by name."""
-        if not self.stage_dir.is_dir():
-            return []
-        return sorted(p for p in self.stage_dir.iterdir() if p.suffix == ".pkl")
-
-    def stats(self) -> dict[str, int]:
-        return {
-            "entries": len(self.entries()),
-            "hits": self.hits,
-            "misses": self.misses,
-            "writes": self.writes,
-        }
-
-    def prune(self) -> int:
-        """Delete entries of other pipeline versions; returns the count.
-
-        Lazy garbage collection over the *whole* artifact tree (every
-        stage, not just this facade's): stale-version directories are
-        unreachable by lookups, this just reclaims the disk.
-        """
-        return ArtifactStore(self.root, version=self.version).prune()
-
-
-class SweepCache:
-    """Sweep-level result store: stage ``sweep`` of the artifact tree.
-
-    Keyed on the *sorted* member source digests (group order is
-    irrelevant: the union's violation set does not depend on it) plus the
-    pipeline version and the requested backend/encoding/kernel knobs, so a warm
-    ``soteria sweep`` run serves finished
-    :class:`~repro.soteria.EnvironmentAnalysis` objects without building,
-    encoding, or checking any union model — while a forced
-    ``--backend``/``--encoding`` run never silently reuses a result
-    produced by a different checker path.  Editing any member app
-    changes its digest and silently invalidates every group containing it.
-    """
-
-    STAGE = "sweep"
-
-    def __init__(self, root: str | os.PathLike, version: str = PIPELINE_VERSION):
-        self.root = Path(root)
-        self.version = version
-        self.hits = 0
-        self.misses = 0
-        self.writes = 0
-
-    # ------------------------------------------------------------------
-    @property
-    def sweep_dir(self) -> Path:
-        return self.root / f"v{self.version}" / self.STAGE
-
-    @staticmethod
-    def key_for(
-        digests: Sequence[str],
-        backend: str = "auto",
-        encoding: str = "auto",
-        kernel: str = "auto",
-    ) -> str:
-        """The group key: SHA-256 over the sorted member source digests
-        plus the backend/encoding/kernel knobs the sweep was asked to use
-        (a forced ``--encoding partitioned`` or ``--kernel reference``
-        validation run must never be served a result the ``auto`` path
-        produced)."""
-        joined = "\n".join(sorted(digests)) + f"\n#{backend}/{encoding}/{kernel}"
-        return hashlib.sha256(joined.encode("utf-8")).hexdigest()
-
-    def path_for(
-        self,
-        digests: Sequence[str],
-        backend: str = "auto",
-        encoding: str = "auto",
-        kernel: str = "auto",
-    ) -> Path:
-        return self.sweep_dir / (
-            f"{self.key_for(digests, backend, encoding, kernel)}.pkl"
-        )
-
-    # ------------------------------------------------------------------
-    def get(
-        self,
-        digests: Sequence[str],
-        backend: str = "auto",
-        encoding: str = "auto",
-        kernel: str = "auto",
-    ) -> EnvironmentAnalysis | None:
-        """The cached environment analysis for a member-digest set, or None."""
-        environment = _read_pickle(
-            self.path_for(digests, backend, encoding, kernel), EnvironmentAnalysis
-        )
-        if environment is None:
-            self.misses += 1
-            return None
-        self.hits += 1
-        return environment
-
-    def put(
-        self,
-        digests: Sequence[str],
-        environment: EnvironmentAnalysis,
-        backend: str = "auto",
-        encoding: str = "auto",
-        kernel: str = "auto",
-    ) -> None:
-        """Persist one environment analysis atomically."""
-        _write_pickle(
-            self.path_for(digests, backend, encoding, kernel),
-            environment,
-            prefix="sweep",
-        )
-        self.writes += 1
-
-    # ------------------------------------------------------------------
-    def entries(self) -> list[Path]:
-        """Sweep entries of the current pipeline version, sorted by name."""
-        if not self.sweep_dir.is_dir():
-            return []
-        return sorted(p for p in self.sweep_dir.iterdir() if p.suffix == ".pkl")
-
-    def stats(self) -> dict[str, int]:
-        return {
-            "entries": len(self.entries()),
-            "hits": self.hits,
-            "misses": self.misses,
-            "writes": self.writes,
-        }
+__all__ = ["FleetCache"]
 
 
 class FleetCache:
-    """Fleet-level verdict store: stage ``fleet`` of the artifact tree.
-
-    Keyed on the *canonical household form*
-    (:func:`repro.fleet.canon.household_key`) — not on member digests —
-    plus the pipeline version and the checker knobs the screen ran
-    under: isomorphic households (renamed devices/apps, permuted
-    members) share one entry by construction, and a forced
-    ``--backend``/``--encoding``/``--kernel`` run is never served a
-    verdict a differently-configured screen produced.  The stored value
-    is the compact :class:`~repro.fleet.telemetry.HouseholdVerdict`,
-    kept small on purpose: a million-household screen touches this tier
-    once per canonical household.
-    """
+    """Household verdicts in the ``fleet`` stage of one store."""
 
     STAGE = "fleet"
 
-    def __init__(self, root: str | os.PathLike, version: str = PIPELINE_VERSION):
-        self.root = Path(root)
-        self.version = version
-        self.hits = 0
-        self.misses = 0
-        self.writes = 0
+    def __init__(self, store: ArtifactStore, knobs: Mapping[str, object]):
+        self.store = store
+        self.knobs = dict(knobs)
 
-    # ------------------------------------------------------------------
-    @property
-    def fleet_dir(self) -> Path:
-        return self.root / f"v{self.version}" / self.STAGE
+    def key_for(self, canonical_key: str) -> str:
+        return artifact_key(self.STAGE, [canonical_key], self.knobs)
 
-    @staticmethod
-    def key_for(
-        canonical_key: str,
-        backend: str = "auto",
-        encoding: str = "auto",
-        kernel: str = "auto",
-        max_union_states: int | None = None,
-    ) -> str:
-        """Entry key: SHA-256 over the canonical household key plus the
-        checker knobs (including the explicit/symbolic crossover, which
-        changes the resolved backend and therefore the verdict's
-        provenance)."""
-        joined = (
-            f"{canonical_key}\n#{backend}/{encoding}/{kernel}"
-            f"/{max_union_states}"
-        )
-        return hashlib.sha256(joined.encode("utf-8")).hexdigest()
-
-    def path_for(
-        self,
-        canonical_key: str,
-        backend: str = "auto",
-        encoding: str = "auto",
-        kernel: str = "auto",
-        max_union_states: int | None = None,
-    ) -> Path:
-        return self.fleet_dir / (
-            f"{self.key_for(canonical_key, backend, encoding, kernel, max_union_states)}.pkl"
+    def get(self, canonical_key: str) -> HouseholdVerdict | None:
+        """The stored verdict for one canonical household, or None."""
+        return self.store.get(
+            self.STAGE, self.key_for(canonical_key), HouseholdVerdict
         )
 
-    # ------------------------------------------------------------------
-    def get(
-        self,
-        canonical_key: str,
-        backend: str = "auto",
-        encoding: str = "auto",
-        kernel: str = "auto",
-        max_union_states: int | None = None,
-    ) -> HouseholdVerdict | None:
-        """The cached verdict for one canonical household, or None."""
-        verdict = _read_pickle(
-            self.path_for(canonical_key, backend, encoding, kernel, max_union_states),
-            HouseholdVerdict,
-        )
-        if verdict is None:
-            self.misses += 1
-            return None
-        self.hits += 1
-        return verdict
-
-    def put(
-        self,
-        canonical_key: str,
-        verdict: HouseholdVerdict,
-        backend: str = "auto",
-        encoding: str = "auto",
-        kernel: str = "auto",
-        max_union_states: int | None = None,
-    ) -> None:
-        """Persist one household verdict atomically."""
-        _write_pickle(
-            self.path_for(canonical_key, backend, encoding, kernel, max_union_states),
-            verdict,
-            prefix="fleet",
-        )
-        self.writes += 1
-
-    # ------------------------------------------------------------------
-    def entries(self) -> list[Path]:
-        """Fleet entries of the current pipeline version, sorted by name."""
-        if not self.fleet_dir.is_dir():
-            return []
-        return sorted(p for p in self.fleet_dir.iterdir() if p.suffix == ".pkl")
-
-    def stats(self) -> dict[str, int]:
-        return {
-            "entries": len(self.entries()),
-            "hits": self.hits,
-            "misses": self.misses,
-            "writes": self.writes,
-        }
+    def put(self, canonical_key: str, verdict: HouseholdVerdict) -> None:
+        self.store.put(self.STAGE, self.key_for(canonical_key), verdict)

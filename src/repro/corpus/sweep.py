@@ -13,12 +13,11 @@ turns that into a corpus-scale workload:
   arbitrary-pair sweeps the paper never ran.
 * :func:`sweep_environments` fans union-model construction + checking out
   over worker processes, reusing per-app analyses through the batch
-  driver's two cache layers (memory + optional ``cache_dir`` disk store)
-  so no app source is ever parsed twice.  ``cache_dir`` additionally
-  layers a *sweep-level* store (:class:`repro.corpus.diskcache.SweepCache`,
-  keyed on the sorted member source digests + the backend/encoding
-  knobs): a warm sweep serves finished
-  environment analyses and skips union checking entirely.
+  driver's ``analysis`` tier so no app source is ever parsed twice.
+  With a ``cache_dir`` it also probes the store's ``sweep`` tier (keyed
+  on the sorted member source digests + the backend/encoding/kernel
+  knobs): a warm sweep serves finished environment analyses and skips
+  union checking entirely.
 
 State explosion is no longer a reason to skip anything: the default
 ``auto`` backend checks groups under the state budget explicitly and
@@ -40,16 +39,16 @@ from dataclasses import dataclass
 from repro.corpus.batch import (
     DATASETS,
     _resolve_jobs,
-    _source_key,
+    _source_digest,
     analyze_batch,
     run_in_pool,
 )
-from repro.corpus.diskcache import SweepCache, resolve_cache_dir
 from repro.corpus.loader import app_ids, load_app, load_source
 from repro.ir import build_ir
 from repro.model.extractor import StateExplosionError
 from repro.model.union import estimate_union_states
-from repro.pipeline.runner import default_pipeline, pipeline_for
+from repro.pipeline.runner import pipeline_for
+from repro.pipeline.store import artifact_key, resolve_cache_dir
 from repro.platform.events import EventKind
 from repro.soteria import AppAnalysis, EnvironmentAnalysis
 
@@ -210,7 +209,7 @@ class SweepOutcome:
     (``error`` carries the reason) — with the symbolic backend in the
     loop, "too big for the budget" is no longer one of those reasons
     unless the caller forces ``backend="explicit"``.  ``cached`` marks
-    results served from the sweep-level disk cache.
+    results served from the store's ``sweep`` tier.
     """
 
     group: tuple[str, ...]
@@ -221,12 +220,6 @@ class SweepOutcome:
     @property
     def failed(self) -> bool:
         return self.environment is None
-
-    @property
-    def skipped(self) -> bool:
-        """Backwards-compatible alias of :attr:`failed` (pre-symbolic
-        sweeps reported oversized groups as "skipped")."""
-        return self.failed
 
     @property
     def backend(self) -> str | None:
@@ -275,11 +268,8 @@ def union_outcome(
     (:mod:`repro.fleet.driver`) both funnel through it, so a household
     check and a sweep check can never drift apart semantically.
     """
-    pipeline = (
-        default_pipeline() if cache_dir is None else pipeline_for(cache_dir)
-    )
     try:
-        environment = pipeline.environment_analysis(
+        environment = pipeline_for(cache_dir).environment_analysis(
             list(analyses),
             max_union_states=max_union_states,
             backend=backend,
@@ -293,12 +283,6 @@ def union_outcome(
     return SweepOutcome(group=group, environment=environment)
 
 
-#: Internal alias: the sweep paths below (and the failure-injection
-#: tests) reference the module global, so patching ``_union_outcome``
-#: still intercepts every sweep-side check.
-_union_outcome = union_outcome
-
-
 def _sweep_worker(
     group: tuple[str, ...],
     analyses: list[AppAnalysis],
@@ -308,7 +292,7 @@ def _sweep_worker(
     kernel: str,
     cache_dir: str | None = None,
 ) -> tuple[tuple[str, ...], SweepOutcome]:
-    return group, _union_outcome(
+    return group, union_outcome(
         group, analyses, max_union_states, backend, encoding, kernel, cache_dir
     )
 
@@ -355,16 +339,18 @@ def sweep_environments(
     requested = [tuple(group) for group in groups]
     ordered = list(dict.fromkeys(requested))
 
-    # Sweep-level cache probe: groups served from disk never touch the
+    # Sweep-tier probe: groups served from the store never touch the
     # batch driver or a worker.
     outcomes: dict[tuple[str, ...], SweepOutcome] = {}
     disk_path = resolve_cache_dir(cache_dir)
-    sweeps = SweepCache(disk_path) if disk_path is not None else None
-    digests: dict[tuple[str, ...], list[str]] = {}
-    if sweeps is not None:
+    store = None if disk_path is None else pipeline_for(disk_path).store
+    keys: dict[tuple[str, ...], str] = {}
+    if store is not None:
+        knobs = {"backend": backend, "encoding": encoding, "kernel": kernel}
         for group in ordered:
-            digests[group] = [_source_key(app_id)[1] for app_id in group]
-            cached = sweeps.get(digests[group], backend, encoding, kernel)
+            digests = sorted(_source_digest(app_id) for app_id in group)
+            keys[group] = artifact_key("sweep", digests, knobs)
+            cached = store.get("sweep", keys[group], EnvironmentAnalysis)
             if cached is not None:
                 outcomes[group] = SweepOutcome(
                     group=group, environment=cached, cached=True
@@ -378,7 +364,7 @@ def sweep_environments(
     # backend: the estimate is a cheap domain product over deduplicated
     # attributes, so doomed groups are failed without shipping their
     # analyses to any worker.  The StateExplosionError catch in
-    # _union_outcome stays as the backstop.
+    # union_outcome stays as the backstop.
     worker_cache = None if disk_path is None else str(disk_path)
     payloads: list[
         tuple[
@@ -410,24 +396,16 @@ def sweep_environments(
     for (group, group_analyses, budget, chosen, chosen_encoding,
          chosen_kernel, group_cache) in payloads:
         if group not in outcomes:
-            outcomes[group] = _union_outcome(
+            outcomes[group] = union_outcome(
                 group, group_analyses, budget, chosen, chosen_encoding,
                 chosen_kernel, group_cache,
             )
 
-    if sweeps is not None:
+    if store is not None:
         for group in pending_groups:
-            outcome = outcomes[group]
-            if outcome.environment is not None:
-                try:
-                    sweeps.put(
-                        digests[group], outcome.environment, backend,
-                        encoding, kernel,
-                    )
-                except Exception:
-                    # Best-effort, like the per-app store: an unwritable
-                    # cache volume degrades to future misses.
-                    pass
+            environment = outcomes[group].environment
+            if environment is not None:
+                store.put("sweep", keys[group], environment)
     return [outcomes[group] for group in requested]
 
 

@@ -8,7 +8,7 @@ comes from:
    touches only a cached canonical key and a counter.
 2. **Canonical dedup** (:mod:`repro.fleet.canon`) maps the byte-diverse
    stream onto few canonical households; only the first sighting of a
-   key — after a probe of the fleet disk tier
+   key — after a probe of the store's ``fleet`` tier
    (:class:`repro.corpus.diskcache.FleetCache`) — costs a model check.
 3. **Sharded checking**: the distinct representatives run through a
    work-stealing process pool (:class:`StealingScheduler` — per-worker
@@ -43,7 +43,7 @@ import time
 from collections import deque
 from dataclasses import asdict, dataclass, field
 
-from repro.corpus.diskcache import FleetCache, resolve_cache_dir
+from repro.corpus.diskcache import FleetCache
 from repro.corpus.loader import load_app, register_app, scoped_registration
 from repro.corpus.sweep import union_outcome
 from repro.fleet.blocklist import build_blocklist, combo_label
@@ -56,6 +56,7 @@ from repro.fleet.profiles import (
 )
 from repro.fleet.telemetry import FleetTelemetry, HouseholdVerdict, ViolationRecord
 from repro.pipeline.runner import Pipeline, default_pipeline, pipeline_for
+from repro.pipeline.store import resolve_cache_dir
 
 #: The fleet explicit/symbolic crossover.  Far below the sweep default
 #: (10 000): at fleet scale the explicit checker's product enumeration
@@ -327,13 +328,17 @@ def run_fleet(
     started = time.perf_counter()
     telemetry = FleetTelemetry()
     disk_root = resolve_cache_dir(options.cache_dir)
-    fleet_cache = FleetCache(disk_root) if disk_root is not None else None
-    cache_args = (
-        options.backend,
-        options.encoding,
-        options.kernel,
-        options.max_union_states,
-    )
+    fleet_cache = None
+    if disk_root is not None:
+        fleet_cache = FleetCache(
+            pipeline_for(disk_root).store,
+            {
+                "backend": options.backend,
+                "encoding": options.encoding,
+                "kernel": options.kernel,
+                "max_union_states": options.max_union_states,
+            },
+        )
 
     with scoped_registration():
         # Member shapes share the checks' store: with a cache dir, a
@@ -355,7 +360,7 @@ def run_fleet(
             if seen is not None:
                 continue
             if fleet_cache is not None:
-                cached = fleet_cache.get(key, *cache_args)
+                cached = fleet_cache.get(key)
                 if cached is not None:
                     verdicts[key] = cached
                     telemetry.disk_hits += 1
@@ -395,10 +400,7 @@ def run_fleet(
         for verdict in fresh:
             verdicts[verdict.canonical_key] = verdict
             if fleet_cache is not None and not verdict.failed:
-                try:
-                    fleet_cache.put(verdict.canonical_key, verdict, *cache_args)
-                except Exception:
-                    pass  # best-effort, like the sweep tier
+                fleet_cache.put(verdict.canonical_key, verdict)
 
     # Aggregate telemetry + blocklist over the whole fleet.
     for key, sampled in key_counts.items():

@@ -1,18 +1,19 @@
 """Model-checking substrate — the reproduction's NuSMV replacement.
 
-Three engines over the same :class:`repro.model.kripke.KripkeStructure`:
+The engines the pipeline's backends run:
 
-* :mod:`.explicit` — explicit-state CTL labelling with counterexamples,
-* :mod:`.symbolic` — BDD-based symbolic CTL (on :mod:`.bdd`, a from-scratch
-  ROBDD package), both over an explicit Kripke structure
-  (:class:`~repro.mc.symbolic.SymbolicChecker`) and over a compiled
-  symbolic union model that never enumerates the product
-  (:class:`~repro.mc.symbolic.SymbolicModelChecker`),
-* :mod:`.bmc` — SAT-based bounded model checking of invariants (on
-  :mod:`.sat`, a from-scratch CDCL solver), plus :mod:`.cnf` (the union
-  transition relation compiled to clauses, checked without materializing
-  states), :mod:`.ic3` (IC3/PDR unbounded proofs over that encoding),
-  and :mod:`.portfolio` (the raced SAT/BDD backend),
+* :mod:`.explicit` — explicit-state CTL labelling with counterexamples
+  over a :class:`repro.model.kripke.KripkeStructure` (``explicit``);
+* :mod:`.symbolic` — BDD-based symbolic CTL over a compiled symbolic
+  union model that never enumerates the product
+  (:class:`~repro.mc.symbolic.SymbolicModelChecker`, ``symbolic``), on
+  the BDD kernels of :mod:`.kernel` (``reference``, :mod:`.bdd`, and
+  ``fast``, :mod:`.fastbdd`);
+* :mod:`.portfolio` — the SAT engines (``bmc`` / ``portfolio``):
+  :mod:`.cnf` compiles the union transition relation to clauses for
+  bounded unrolling on :mod:`.sat` (a from-scratch CDCL solver),
+  :mod:`.ic3` proves invariants unboundedly over that encoding, and the
+  BDD checker answers whatever they leave inconclusive,
 
 mirroring NuSMV's combined BDD/SAT modes that the paper relies on (Sec. 5).
 """
@@ -50,11 +51,10 @@ from repro.mc.kernel import (
     reset_kernel_stats,
     resolve_kernel,
 )
-from repro.mc.symbolic import SymbolicChecker, SymbolicModelChecker
+from repro.mc.symbolic import SymbolicModelChecker
 from repro.mc.sat import ReferenceSolver, Solver, solve
-from repro.mc.bmc import BoundedChecker, Verdict
 from repro.mc.cnf import BmcUnroller, CnfUnionSystem, invariant_shape
-from repro.mc.ic3 import IC3Prover
+from repro.mc.ic3 import IC3Prover, Verdict
 from repro.mc.portfolio import PortfolioChecker
 
 __all__ = [
@@ -90,12 +90,10 @@ __all__ = [
     "record_kernel_stats",
     "aggregate_kernel_stats",
     "reset_kernel_stats",
-    "SymbolicChecker",
     "SymbolicModelChecker",
     "Solver",
     "ReferenceSolver",
     "solve",
-    "BoundedChecker",
     "Verdict",
     "BmcUnroller",
     "CnfUnionSystem",

@@ -15,21 +15,42 @@ The implementation reuses one two-step :class:`~repro.mc.cnf.BmcUnroller`
 frame membership, ``init``, and cube negations are all switched per
 query through assumption literals, so the single incremental solver
 serves every query.  Budgets (frames, SAT queries) bound the worst case;
-exhausting them yields :data:`~repro.mc.bmc.Verdict.UNKNOWN`, which the
-portfolio backend treats as "fall back to the BDD checker".
+exhausting them yields :data:`Verdict.UNKNOWN`, which the portfolio
+backend treats as "fall back to the BDD checker".
 """
 
 from __future__ import annotations
 
+import enum
 import heapq
 import itertools
 
-from repro.mc.bmc import HOLDS, UNKNOWN, VIOLATED, Verdict
 from repro.mc.cnf import BmcUnroller, CnfUnionSystem, InvariantShape
 from repro.model.kripke import KripkeState
 
 #: Decoded trace entry: (state, labels) as produced by BmcUnroller.state_at.
 TraceStep = tuple[KripkeState, frozenset[str]]
+
+
+class Verdict(enum.Enum):
+    """Outcome of a SAT-engine invariant query.
+
+    ``UNKNOWN`` (budget or bound exhausted) is never a proof: only
+    ``HOLDS`` is truthy, and the portfolio backend answers ``UNKNOWN``
+    with its BDD fallback.
+    """
+
+    HOLDS = "holds"
+    VIOLATED = "violated"
+    UNKNOWN = "unknown"
+
+    def __bool__(self) -> bool:
+        return self is Verdict.HOLDS
+
+
+HOLDS = Verdict.HOLDS
+VIOLATED = Verdict.VIOLATED
+UNKNOWN = Verdict.UNKNOWN
 
 
 class _Budget(Exception):

@@ -16,11 +16,6 @@ implementation through :func:`make_kernel`.  Two kernels ship:
   (explicit-stack) apply/exists/rename loops.  The default: ``auto``
   resolves to it.
 
-A third, optional ``dd`` kernel (:mod:`repro.mc.ddkernel`, backed by the
-``dd``/CUDD package) registers itself only when ``dd`` is importable.
-It is never chosen by ``auto`` — availability varies by machine, and the
-differential guarantee only covers kernels that run in CI.
-
 Every kernel honors the same contract the rest of the stack relies on:
 node ids are integers with ``FALSE == 0`` / ``TRUE == 1``; reordering is
 id-stable (an id keeps denoting the same function across :meth:`sift`);
@@ -533,61 +528,26 @@ class KernelBase:
 # ----------------------------------------------------------------------
 
 #: Knob spellings accepted everywhere a ``kernel=`` knob is threaded
-#: (CLI flags, pipeline knobs, service submissions).  ``dd`` is accepted
-#: only when the package is importable — see :func:`available_kernels`.
+#: (CLI flags, pipeline knobs, service submissions).
 KERNEL_CHOICES = ("auto", "reference", "fast")
 
 #: What ``auto`` resolves to.
 DEFAULT_KERNEL = "fast"
 
-_dd_probe_lock = threading.Lock()
-_dd_available: bool | None = None
-
-
-def _dd_importable() -> bool:
-    """Whether the optional ``dd`` package (CUDD bindings / pure-Python
-    autoref) is present.  Probed once per process."""
-    global _dd_available
-    if _dd_available is None:
-        with _dd_probe_lock:
-            if _dd_available is None:
-                try:
-                    import dd.autoref  # noqa: F401
-                    _dd_available = True
-                except Exception:
-                    _dd_available = False
-    return _dd_available
-
 
 def available_kernels() -> tuple[str, ...]:
-    """Concrete kernel names registered in this process (no ``auto``)."""
-    names = ["reference", "fast"]
-    if _dd_importable():
-        names.append("dd")
-    return tuple(names)
+    """Concrete kernel names (no ``auto``)."""
+    return KERNEL_CHOICES[1:]
 
 
 def resolve_kernel(kernel: str = "auto") -> str:
-    """Validate a kernel knob and resolve ``auto`` to the default.
-
-    ``auto`` always resolves to ``fast`` — never to ``dd``, even when
-    installed: the cross-kernel differential suite only vouches for the
-    kernels that run in CI, and an environment-dependent default would
-    make analysis results a function of what happens to be pip-installed.
-    """
+    """Validate a kernel knob and resolve ``auto`` to the default."""
     if kernel == "auto":
         return DEFAULT_KERNEL
-    if kernel in ("reference", "fast"):
-        return kernel
-    if kernel == "dd":
-        if not _dd_importable():
-            raise ValueError(
-                "kernel 'dd' requested but the dd package is not installed"
-            )
+    if kernel in KERNEL_CHOICES:
         return kernel
     raise ValueError(
-        f"unknown kernel {kernel!r}: expected one of "
-        f"{', '.join(KERNEL_CHOICES + ('dd',))}"
+        f"unknown kernel {kernel!r}: expected one of {', '.join(KERNEL_CHOICES)}"
     )
 
 
@@ -600,18 +560,13 @@ def make_kernel(kernel: str | BddKernel = "auto") -> BddKernel:
     """
     if not isinstance(kernel, str):
         return kernel
-    name = resolve_kernel(kernel)
-    if name == "reference":
+    if resolve_kernel(kernel) == "reference":
         from repro.mc.bdd import BDD
 
         return BDD()
-    if name == "fast":
-        from repro.mc.fastbdd import FastKernel
+    from repro.mc.fastbdd import FastKernel
 
-        return FastKernel()
-    from repro.mc.ddkernel import DdKernel
-
-    return DdKernel()
+    return FastKernel()
 
 
 # ----------------------------------------------------------------------

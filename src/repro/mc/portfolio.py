@@ -25,10 +25,9 @@ that is what the portfolio parity suite pins down.
 from __future__ import annotations
 
 from repro.mc import ctl
-from repro.mc.bmc import HOLDS, UNKNOWN, VIOLATED
 from repro.mc.cnf import BmcUnroller, CnfUnionSystem, invariant_shape
 from repro.mc.explicit import CheckResult
-from repro.mc.ic3 import IC3Prover
+from repro.mc.ic3 import HOLDS, UNKNOWN, VIOLATED, IC3Prover
 from repro.model.kripke import KripkeState
 from repro.model.statemodel import StateModel
 

@@ -1,7 +1,7 @@
 """A from-scratch CDCL SAT solver (trail + two-watched-literal propagation).
 
-Backs the bounded model checker (:mod:`repro.mc.bmc`), the CNF union
-encoder (:mod:`repro.mc.cnf`) and the IC3 prover (:mod:`repro.mc.ic3`),
+Backs the CNF union encoder and its bounded unroller (:mod:`repro.mc.cnf`)
+and the IC3 prover (:mod:`repro.mc.ic3`),
 mirroring NuSMV's SAT-based engine the paper enables against state
 explosion (Sec. 5).
 

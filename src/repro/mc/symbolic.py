@@ -1,23 +1,18 @@
 """BDD-based symbolic CTL model checking.
 
-Two checkers share the CTL-on-BDDs machinery:
+:class:`SymbolicModelChecker` checks a
+:class:`repro.model.encoder.SymbolicUnionModel`: the transition relation
+comes straight from the apps' symbolic rules over shared attribute
+variable blocks, the check is restricted to the reachable-state fixpoint,
+and the Cartesian product is never enumerated.  Counterexample witnesses
+are extracted from the reachability frontiers and decoded into the same
+:class:`~repro.model.kripke.KripkeState` objects the explicit checker
+reports, so reporting is backend-agnostic.
 
-* :class:`SymbolicChecker` binary-encodes an *explicit* Kripke structure
-  — useful for cross-validation and for small models that are already
-  materialized, but it inherits the enumeration it runs on.
-* :class:`SymbolicModelChecker` checks a
-  :class:`repro.model.encoder.SymbolicUnionModel`: the transition relation
-  comes straight from the apps' symbolic rules over shared attribute
-  variable blocks, the check is restricted to the reachable-state fixpoint,
-  and the Cartesian product is never enumerated.  Counterexample witnesses
-  are extracted from the reachability frontiers and decoded into the same
-  :class:`~repro.model.kripke.KripkeState` objects the explicit checker
-  reports, so reporting is backend-agnostic.
-
-In both, EX is the relational preimage ``exists y . R(x, y) & f[y/x]``;
-EU/EG are the usual fixpoints computed entirely on BDDs.  Both are
-verified against the explicit checker in the test suite (they must agree
-on every formula/model pair).
+EX is the relational preimage ``exists y . R(x, y) & f[y/x]``; EU/EG are
+the usual fixpoints computed entirely on BDDs.  The differential suites
+verify it against the explicit checker (they must agree on every
+formula/model pair).
 """
 
 from __future__ import annotations
@@ -26,181 +21,12 @@ from typing import TYPE_CHECKING
 
 from repro.mc import ctl
 from repro.mc.explicit import CheckResult
-from repro.mc.kernel import BddKernel, make_kernel
-from repro.model.kripke import KripkeState, KripkeStructure
+from repro.model.kripke import KripkeState
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.model.encoder import SymbolicUnionModel
 
 
-class SymbolicChecker:
-    """Symbolic CTL checker over an explicit Kripke structure."""
-
-    def __init__(
-        self, kripke: KripkeStructure, kernel: str | BddKernel = "auto"
-    ) -> None:
-        self.kripke = kripke
-        self.bdd: BddKernel = make_kernel(kernel)
-        self.kernel = getattr(self.bdd, "KERNEL_NAME", type(self.bdd).__name__)
-        self.index: dict[KripkeState, int] = {
-            state: i for i, state in enumerate(kripke.states)
-        }
-        self.nbits = max(1, (len(kripke.states) - 1).bit_length())
-        # Interleave current/next bits — the standard good ordering for
-        # transition relations.
-        for bit in range(self.nbits):
-            self.bdd.add_var(f"x{bit}")
-            self.bdd.add_var(f"y{bit}")
-        self._x = [f"x{bit}" for bit in range(self.nbits)]
-        self._y = [f"y{bit}" for bit in range(self.nbits)]
-        self._state_cubes: dict[KripkeState, int] = {}
-        self._valid = self._build_valid()
-        self._relation = self._build_relation()
-        self._cache: dict[ctl.Formula, int] = {}
-
-    # ------------------------------------------------------------------
-    # Encoding
-    # ------------------------------------------------------------------
-    def _cube(self, state: KripkeState, prime: bool = False) -> int:
-        if not prime and state in self._state_cubes:
-            return self._state_cubes[state]
-        code = self.index[state]
-        names = self._y if prime else self._x
-        terms = []
-        for bit in range(self.nbits):
-            literal = (
-                self.bdd.var(names[bit])
-                if (code >> bit) & 1
-                else self.bdd.nvar(names[bit])
-            )
-            terms.append(literal)
-        cube = self.bdd.conj(terms)
-        if not prime:
-            self._state_cubes[state] = cube
-        return cube
-
-    def _build_valid(self) -> int:
-        return self.bdd.disj([self._cube(s) for s in self.kripke.states])
-
-    def _build_relation(self) -> int:
-        edges = []
-        for src, dsts in self.kripke.succ.items():
-            src_cube = self._cube(src)
-            for dst in dsts:
-                edges.append(self.bdd.and_(src_cube, self._cube(dst, prime=True)))
-        return self.bdd.disj(edges)
-
-    def set_of(self, f: int) -> frozenset[KripkeState]:
-        """Decode a BDD over x-vars back into a set of Kripke states."""
-        found = []
-        for state in self.kripke.states:
-            code = self.index[state]
-            assignment = {
-                self._x[bit]: bool((code >> bit) & 1) for bit in range(self.nbits)
-            }
-            if self.bdd.evaluate(f, assignment):
-                found.append(state)
-        return frozenset(found)
-
-    # ------------------------------------------------------------------
-    # CTL semantics
-    # ------------------------------------------------------------------
-    def sat(self, formula: ctl.Formula) -> int:
-        cached = self._cache.get(formula)
-        if cached is not None:
-            return cached
-        result = self._sat(formula)
-        result = self.bdd.and_(result, self._valid)
-        self._cache[formula] = result
-        return result
-
-    def _prop(self, name: str) -> int:
-        members = [
-            self._cube(s) for s in self.kripke.states if name in self.kripke.labels[s]
-        ]
-        return self.bdd.disj(members)
-
-    def _preimage(self, f: int) -> int:
-        primed = self.bdd.rename(f, dict(zip(self._x, self._y)))
-        return self.bdd.exists(self._y, self.bdd.and_(self._relation, primed))
-
-    def _sat(self, f: ctl.Formula) -> int:
-        bdd = self.bdd
-        if isinstance(f, ctl.Bool):
-            return self._valid if f.value else bdd.FALSE
-        if isinstance(f, ctl.Prop):
-            return self._prop(f.name)
-        if isinstance(f, ctl.Not):
-            return bdd.and_not(self._valid, self.sat(f.operand))
-        if isinstance(f, ctl.And):
-            return bdd.and_(self.sat(f.left), self.sat(f.right))
-        if isinstance(f, ctl.Or):
-            return bdd.or_(self.sat(f.left), self.sat(f.right))
-        if isinstance(f, ctl.Implies):
-            return bdd.and_(
-                self._valid, bdd.or_(bdd.not_(self.sat(f.left)), self.sat(f.right))
-            )
-        if isinstance(f, ctl.EX):
-            return bdd.and_(self._valid, self._preimage(self.sat(f.operand)))
-        if isinstance(f, ctl.AX):
-            inner = bdd.and_not(self._valid, self.sat(f.operand))
-            return bdd.and_not(self._valid, self._preimage(inner))
-        if isinstance(f, ctl.EF):
-            return self._lfp(self._valid, self.sat(f.operand))
-        if isinstance(f, ctl.EU):
-            return self._lfp(self.sat(f.left), self.sat(f.right))
-        if isinstance(f, ctl.EG):
-            return self._gfp(self.sat(f.operand))
-        if isinstance(f, ctl.AF):
-            inner = bdd.and_not(self._valid, self.sat(f.operand))
-            return bdd.and_not(self._valid, self._gfp(inner))
-        if isinstance(f, ctl.AG):
-            inner = bdd.and_not(self._valid, self.sat(f.operand))
-            reach = self._lfp(self._valid, inner)
-            return bdd.and_not(self._valid, reach)
-        if isinstance(f, ctl.AU):
-            not_b = bdd.and_not(self._valid, self.sat(f.right))
-            not_a_not_b = bdd.and_not(not_b, self.sat(f.left))
-            bad = bdd.or_(self._lfp(not_b, not_a_not_b), self._gfp(not_b))
-            return bdd.and_not(self._valid, bad)
-        raise TypeError(f"unsupported formula {type(f).__name__}")
-
-    def _lfp(self, context: int, target: int) -> int:
-        """E[context U target] as a least fixpoint on BDDs."""
-        current = target
-        while True:
-            step = self.bdd.and_(context, self._preimage(current))
-            nxt = self.bdd.or_(current, step)
-            if nxt == current:
-                return current
-            current = nxt
-
-    def _gfp(self, context: int) -> int:
-        """EG context as a greatest fixpoint on BDDs."""
-        current = context
-        while True:
-            nxt = self.bdd.and_(current, self._preimage(current))
-            if nxt == current:
-                return current
-            current = nxt
-
-    # ------------------------------------------------------------------
-    def check(self, formula: ctl.Formula | str) -> bool:
-        """True when every initial state satisfies ``formula``."""
-        if isinstance(formula, str):
-            formula = ctl.parse_ctl(formula)
-        satisfied = self.sat(formula)
-        initial = self.bdd.disj([self._cube(s) for s in self.kripke.initial])
-        uncovered = self.bdd.and_not(initial, satisfied)
-        return uncovered == self.bdd.FALSE
-
-    def sat_states(self, formula: ctl.Formula | str) -> frozenset[KripkeState]:
-        if isinstance(formula, str):
-            formula = ctl.parse_ctl(formula)
-        return self.set_of(self.sat(formula))
-
-
-# ======================================================================
 class SymbolicModelChecker:
     """CTL checking over a compiled symbolic union model.
 

@@ -11,7 +11,6 @@ from repro.model.union import (
     build_union_model,
     build_union_skeleton,
     estimate_union_states,
-    union_state_count,
 )
 from repro.model.kripke import KripkeStructure, build_kripke
 from repro.model.encoder import SymbolicUnionModel, encode_union
@@ -26,7 +25,6 @@ __all__ = [
     "build_union_model",
     "build_union_skeleton",
     "estimate_union_states",
-    "union_state_count",
     "build_kripke",
     "KripkeStructure",
     "SymbolicUnionModel",

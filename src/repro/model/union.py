@@ -216,10 +216,6 @@ def estimate_union_states(
     return total
 
 
-#: Backwards-compatible alias of :func:`estimate_union_states`.
-union_state_count = estimate_union_states
-
-
 def _merge_domains(first: tuple[str, ...], second: tuple[str, ...]) -> tuple[str, ...]:
     merged = list(first)
     for value in second:

@@ -208,7 +208,6 @@ class Pipeline:
                 kernel,
             )
             store.put("check", check_key, outcome, memory_only=volatile)
-        timings["general"] = 0.0
         timings["properties"] = time.perf_counter() - start
 
         return AppAnalysis(
@@ -341,7 +340,6 @@ class Pipeline:
                 union, irs, kripke, catalog, chosen, encoding, kernel
             )
             store.put("check", check_key, outcome, memory_only=volatile)
-        timings["general"] = 0.0
         timings["properties"] = time.perf_counter() - start
 
         return EnvironmentAnalysis(
@@ -392,3 +390,9 @@ def pipeline_for(cache_dir) -> Pipeline:
 def default_pipeline() -> Pipeline:
     """The memory-only pipeline behind :func:`repro.analyze_app`."""
     return pipeline_for(None)
+
+
+def shared_stores() -> list[ArtifactStore]:
+    """The stores of every process-shared pipeline created so far."""
+    with _pipelines_lock:
+        return [pipeline.store for pipeline in _pipelines.values()]

@@ -32,19 +32,22 @@ Two layers share one keyspace:
           kripke/<key>.pkl
           union/<key>.pkl
           check/<key>.pkl
-          analysis/<app id>-<source sha256>.pkl   (whole-result facade)
-          sweep/<key>.pkl                         (whole-result facade)
-          shape/<key>.pkl                         (fleet app shapes)
-          fleet/<key>.pkl                         (fleet household verdicts)
+          analysis/<key>.pkl    (finished AppAnalysis per corpus app + source)
+          sweep/<key>.pkl       (finished EnvironmentAnalysis per app group)
+          shape/<key>.pkl       (fleet app shapes)
+          fleet/<key>.pkl       (fleet household verdicts)
 
-  The ``analysis``/``sweep`` stages are the PR-2 whole-result caches
-  (:class:`repro.corpus.diskcache.DiskCache` /
-  :class:`~repro.corpus.diskcache.SweepCache`), now facades over this
-  store: a finished :class:`~repro.soteria.AppAnalysis` is just the
-  coarsest artifact of the pipeline.  ``shape`` holds the fleet's
-  per-app canonical shapes (:func:`repro.fleet.canon.app_shape`, keyed
-  on the source digest) and ``fleet`` its household verdicts
-  (:class:`repro.corpus.diskcache.FleetCache`).
+  The last four stages hold whole results.  ``analysis`` is the batch
+  driver's per-app probe (:mod:`repro.corpus.batch`, keyed on app id +
+  source digest) and ``sweep`` the sweep engine's per-group probe
+  (:mod:`repro.corpus.sweep`, keyed on the sorted member source digests
+  + checker knobs): a warm corpus run or sweep reads them back without
+  touching any finer stage.  ``shape`` holds the fleet's per-app
+  canonical shapes (:func:`repro.fleet.canon.app_shape`, keyed on the
+  source digest) and ``fleet`` its household verdicts (keyed on the
+  canonical household form + checker knobs).  Every tier counts its
+  hits in :meth:`ArtifactStore.counters`, so ``soteria cache`` and
+  ``/v1/stats`` see all of them.
 
 The pipeline version is a directory level: bumping
 :data:`PIPELINE_VERSION` orphans every older entry at once (lookups only
@@ -71,10 +74,8 @@ from pathlib import Path
 #: (IR, abstraction, model extraction, property catalog, result
 #: dataclasses) can alter an artifact, so stale results are never served
 #: across code changes.
-PIPELINE_VERSION = "7"   # 7: SAT/BDD portfolio backends — check outcomes
-                         # and results carry portfolio engine stats, and
-                         # check keys include the BDD knobs for every
-                         # non-explicit backend
+PIPELINE_VERSION = "8"   # 8: the analysis/sweep/fleet tiers are keyed
+                         # with artifact_key like every other stage
 
 #: Environment variable consulted when no cache directory is passed
 #: explicitly (CLI ``--cache-dir`` and the ``cache_dir=`` parameters win).
@@ -217,16 +218,12 @@ class ArtifactStore:
         key: str,
         value: object,
         memory_only: bool = False,
-        strict: bool = False,
     ) -> None:
         """Insert one artifact (memory always; disk unless ``memory_only``).
 
-        Disk persistence is best-effort by default — an unwritable cache
-        volume (read-only CI restore, full disk) must never fail the
-        analysis that produced the artifact; it degrades to future
-        misses.  ``strict=True`` propagates the write error instead (the
-        whole-result facades use it so their callers keep the historical
-        contract).
+        Disk persistence is best-effort: an unwritable cache volume
+        (read-only CI restore, full disk) must never fail the analysis
+        that produced the artifact; it degrades to future misses.
         """
         self._remember((stage, key), value)
         self._count(stage, "writes")
@@ -238,8 +235,7 @@ class ArtifactStore:
         try:
             _write_pickle(path, value, prefix=stage)
         except Exception:
-            if strict:
-                raise
+            pass
 
     def contains_disk(self, stage: str, key: str) -> bool:
         """Is the artifact persisted on disk?  (No counter effect.)"""
@@ -270,6 +266,11 @@ class ArtifactStore:
         if directory is None or not directory.is_dir():
             return []
         return sorted(p for p in directory.iterdir() if p.suffix == ".pkl")
+
+    def memory_entries(self, stage: str) -> int:
+        """Live objects of one stage in the memory layer."""
+        with self._lock:
+            return sum(1 for slot in self._memory if slot[0] == stage)
 
     def disk_stages(self) -> list[str]:
         """Stages with at least one disk entry, in pipeline order."""

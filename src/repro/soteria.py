@@ -148,9 +148,8 @@ def analyze_environment(
     The resolved choice lands in :attr:`EnvironmentAnalysis.encoding`.
 
     ``kernel`` picks the BDD engine behind the symbolic backend:
-    ``fast`` (the array-backed default), ``reference`` (the dict-of-node
-    oracle), or ``dd`` where the optional ``dd`` package is installed;
-    ``auto`` resolves to ``fast``.  All kernels produce identical
+    ``fast`` (the array-backed default) or ``reference`` (the
+    dict-of-node oracle); ``auto`` resolves to ``fast``.  All kernels produce identical
     violation sets — the cross-kernel differential suite enforces it.
     The resolved choice lands in :attr:`EnvironmentAnalysis.kernel`.
     """

@@ -215,8 +215,7 @@ from repro.mc.kernel import (  # noqa: E402 (kernel section below the BDD suite)
 
 @pytest.fixture(params=available_kernels())
 def kernel(request):
-    """One instance of every concrete kernel registered in this process
-    (reference, fast, plus dd where the optional package is installed)."""
+    """One instance of every concrete kernel (reference, fast)."""
     manager = make_kernel(request.param)
     for name in ("a", "b", "c", "d"):
         manager.add_var(name)
@@ -416,17 +415,3 @@ class TestKernelRegistry:
     def test_unknown_kernel_rejected(self):
         with pytest.raises(ValueError, match="unknown kernel"):
             resolve_kernel("zdd")
-
-    def test_dd_gated_on_import(self):
-        # The optional dd/CUDD kernel is opt-in where installed and a
-        # clear error where not — and auto never resolves to it.
-        try:
-            import dd.autoref  # noqa: F401
-        except ImportError:
-            assert "dd" not in available_kernels()
-            with pytest.raises(ValueError, match="dd"):
-                resolve_kernel("dd")
-        else:
-            assert "dd" in available_kernels()
-            assert resolve_kernel("dd") == "dd"
-        assert resolve_kernel("auto") != "dd"

@@ -151,13 +151,19 @@ class TestDiskTier:
         assert shape_hits["misses"] == 0
 
     def test_knobs_partition_the_tier(self, tmp_path):
-        cache = FleetCache(tmp_path)
+        auto = {"backend": "auto", "encoding": "auto", "kernel": "auto",
+                "max_union_states": 512}
         verdict = HouseholdVerdict(canonical_key="k" * 64, members=("A", "B"))
-        cache.put("k" * 64, verdict, "auto", "auto", "auto", 512)
-        assert cache.get("k" * 64, "auto", "auto", "auto", 512) is not None
+        FleetCache(ArtifactStore(tmp_path), auto).put("k" * 64, verdict)
+        assert len(ArtifactStore(tmp_path).entries("fleet")) == 1
+
+        def probe(**knobs):
+            return FleetCache(ArtifactStore(tmp_path), {**auto, **knobs}).get("k" * 64)
+
+        assert probe() is not None
         # A forced-knob run never sees the auto entry.
-        assert cache.get("k" * 64, "bdd", "auto", "auto", 512) is None
-        assert cache.get("k" * 64, "auto", "auto", "auto", 10_000) is None
+        assert probe(backend="symbolic") is None
+        assert probe(max_union_states=10_000) is None
 
 
 class TestPooledExecution:

@@ -1,10 +1,12 @@
 """Model-checking engines: explicit CTL semantics + engine agreement.
 
-The explicit checker is validated against hand-computed semantics on small
-structures; the symbolic (BDD) checker and the SAT-based bounded checker
-are cross-validated against the explicit checker on randomized models
-(hypothesis), which is how the reproduction earns trust in its NuSMV
-substitute.
+The explicit checker is validated against hand-computed semantics on
+small structures; the symbolic (BDD) checker and the SAT portfolio are
+cross-validated against it on the union models of randomly generated
+apps (hypothesis), which is how the reproduction earns trust in its
+NuSMV substitute.  The paper's own environments are cross-checked by the
+differential suites (``test_backends_differential.py``,
+``test_portfolio_backend.py``).
 """
 
 import random
@@ -12,11 +14,22 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.mc import check, parse_ctl
-from repro.mc.bmc import BoundedChecker, Verdict
+from repro.gen import generate_app
+from repro.ir import build_ir
+from repro.mc import check, ctl, parse_ctl
+from repro.mc.cnf import invariant_shape
 from repro.mc.explicit import ExplicitChecker
-from repro.mc.symbolic import SymbolicChecker
+from repro.mc.portfolio import PortfolioChecker
+from repro.mc.symbolic import SymbolicModelChecker
+from repro.model import (
+    SymbolicUnionModel,
+    build_kripke,
+    build_union_model,
+    build_union_skeleton,
+)
+from repro.model.extractor import extract_model
 from repro.model.kripke import KripkeState, KripkeStructure
+from repro.platform.smartapp import SmartApp
 
 
 def make_kripke(edges, labels, initial=(0,)):
@@ -144,57 +157,97 @@ class TestCounterexamples:
 
 
 # ----------------------------------------------------------------------
-# Engine agreement on random structures
+# Engine agreement on random union models
 # ----------------------------------------------------------------------
 _FORMULAS = [
-    "AG p", "EF q", "AF p", "EG q", "AX p", "EX q",
-    "AG (p -> AF q)", "E [ p U q ]", "A [ p U q ]",
-    "!AG p", "EF (p & q)", "AG (p | !q)",
+    ("AG p", lambda p, q: ctl.AG(p)),
+    ("EF q", lambda p, q: ctl.EF(q)),
+    ("AF p", lambda p, q: ctl.AF(p)),
+    ("EG q", lambda p, q: ctl.EG(q)),
+    ("AX p", lambda p, q: ctl.AX(p)),
+    ("EX q", lambda p, q: ctl.EX(q)),
+    ("AG (p -> AF q)", lambda p, q: ctl.AG(ctl.Implies(p, ctl.AF(q)))),
+    ("E [ p U q ]", lambda p, q: ctl.EU(p, q)),
+    ("A [ p U q ]", lambda p, q: ctl.AU(p, q)),
+    ("!AG p", lambda p, q: ctl.Not(ctl.AG(p))),
+    ("EF (p & q)", lambda p, q: ctl.EF(ctl.And(p, q))),
+    ("AG (p | !q)", lambda p, q: ctl.AG(ctl.Or(p, ctl.Not(q)))),
 ]
 
 
-def _random_kripke(seed: int):
-    rng = random.Random(seed)
-    n = rng.randint(3, 9)
-    edges = {}
-    labels = {}
-    for i in range(n):
-        edges[i] = rng.sample(range(n), k=rng.randint(1, min(3, n)))
-        labels[i] = {p for p in ("p", "q") if rng.random() < 0.5}
-    return make_kripke(edges, labels, initial=(0,))
+def _random_union(seed: int):
+    """The union skeleton and explicit Kripke structure of one generated
+    app, plus two of its attribute/command labels picked by ``seed``.
+    (Labels can hold spaces, so formulas are built, not parsed.)"""
+    model = extract_model(build_ir(SmartApp.from_source(generate_app(seed, 0).source)))
+    kripke = build_kripke(build_union_model([model]))
+    labels = sorted(
+        {
+            label
+            for state in kripke.states
+            for label in kripke.labels[state]
+            if label.startswith(("attr:", "act:"))
+        }
+    )
+    p, q = random.Random(seed).sample(labels, 2)
+    return build_union_skeleton([model]), kripke, ctl.Prop(p), ctl.Prop(q)
+
+
+def _node(state):
+    return (state.state, frozenset(state.incoming))
 
 
 @settings(max_examples=25, deadline=None)
 @given(st.integers(min_value=0, max_value=10_000))
 def test_symbolic_agrees_with_explicit(seed):
-    kripke, _states = _random_kripke(seed)
+    skeleton, kripke, p, q = _random_union(seed)
     explicit = ExplicitChecker(kripke)
-    symbolic = SymbolicChecker(kripke)
-    for text in _FORMULAS:
-        formula = parse_ctl(text)
-        assert symbolic.sat_states(formula) == explicit.sat(formula), text
+    symbolic = SymbolicModelChecker(SymbolicUnionModel(skeleton))
+    for text, build in _FORMULAS:
+        formula = build(p, q)
+        assert symbolic.check(formula).holds == explicit.check(formula).holds, (
+            text, p.name, q.name,
+        )
 
 
 @settings(max_examples=10, deadline=None)
 @given(st.integers(min_value=0, max_value=10_000))
 def test_bmc_agrees_with_explicit_on_invariants(seed):
-    kripke, _states = _random_kripke(seed)
+    skeleton, kripke, p, q = _random_union(seed)
     explicit = ExplicitChecker(kripke)
-    bounded = BoundedChecker(kripke)
-    formula = parse_ctl("AG p")
-    expected = explicit.check(formula).holds
-    verdict, trace = bounded.check_invariant(formula, bound=len(kripke.states))
-    # The bound covers the completeness bound |S|-1: never inconclusive.
-    assert verdict is not Verdict.UNKNOWN
-    assert bool(verdict) == expected
-    if verdict is Verdict.VIOLATED:
-        assert trace[0] in kripke.initial
-        for a, b in zip(trace, trace[1:]):
-            assert b in kripke.succ[a]
-        assert "p" not in kripke.labels[trace[-1]]
+    bounded = PortfolioChecker(skeleton, mode="bmc")
+    nodes = {_node(state) for state in kripke.states}
+    initial = {_node(state) for state in kripke.initial}
+    edges = {
+        (_node(src), _node(dst))
+        for src, dsts in kripke.succ.items()
+        for dst in dsts
+    }
+    for formula in (
+        ctl.AG(p),
+        ctl.AG(ctl.Not(q)),
+        ctl.AG(ctl.Or(p, ctl.Not(q))),
+        ctl.AG(ctl.Not(ctl.And(p, q))),
+    ):
+        expected = explicit.check(formula).holds
+        result = bounded.check(formula)
+        assert result.holds == expected, (str(formula), seed)
+        if not result.holds:
+            trace = result.counterexample
+            assert _node(trace[0]) in initial
+            for src, dst in zip(trace, trace[1:]):
+                assert (_node(src), _node(dst)) in edges
+            assert all(_node(state) in nodes for state in trace)
+    # Propositional invariants never need the BDD fallback.
+    assert bounded.stats["fallbacks"] == 0
 
 
 def test_bmc_rejects_non_invariants():
-    kripke, _states = make_kripke({0: [0]}, {0: {"p"}})
-    with pytest.raises(ValueError):
-        BoundedChecker(kripke).check_invariant("EF p")
+    skeleton, kripke, p, _q = _random_union(0)
+    formula = ctl.EF(p)
+    assert invariant_shape(formula) is None
+    bounded = PortfolioChecker(skeleton, mode="bmc")
+    result = bounded.check(formula)
+    assert bounded.stats["unsupported"] == 1
+    assert bounded.stats["bmc_queries"] == 0
+    assert result.holds == ExplicitChecker(kripke).check(formula).holds

@@ -16,7 +16,11 @@ backends on every curated scenario, so this suite pins:
   ``backend="both"`` differential;
 * the engine-level building blocks: invariant-shape classification,
   linear clause growth of the union unroller, and IC3/BMC agreement
-  with the explicit checker on attribute invariants.
+  with the explicit checker on attribute invariants;
+* BMC soundness, the regression of record: an early bounded checker
+  reported bound exhaustion as *holds*, so a violation one step past
+  the bound read as a proof.  Exhaustion must fall back to the BDD
+  checker instead.
 """
 
 import pytest
@@ -26,10 +30,10 @@ from repro.corpus.batch import analyze_batch
 from repro.corpus.fuzz import FuzzConfig, run_fuzz
 from repro.ir import build_ir
 from repro.mc import ctl
-from repro.mc.bmc import Verdict
+from repro.mc import portfolio
 from repro.mc.cnf import BmcUnroller, CnfUnionSystem, invariant_shape
 from repro.mc.explicit import check as explicit_check
-from repro.mc.ic3 import IC3Prover
+from repro.mc.ic3 import IC3Prover, Verdict
 from repro.mc.portfolio import PortfolioChecker
 from repro.model import build_kripke, build_union_model, build_union_skeleton
 from repro.model.extractor import extract_model
@@ -314,6 +318,25 @@ class TestEngineAgreement:
         verdict, trace = IC3Prover(system).prove(shape)
         assert verdict is Verdict.HOLDS
         assert trace == []
+
+    def test_bound_exhaustion_is_not_a_proof(self, monkeypatch):
+        """With BMC limited to depth 0, ``AG !act`` on a label that only
+        a transition produces finds no counterexample within the bound.
+        That must not read as *holds*: the BDD fallback answers, and it
+        finds the one-event violation."""
+        monkeypatch.setattr(portfolio, "PORTFOLIO_DEPTH", 0)
+        models, skeleton = _skeleton()
+        label = "act:sw.switch=off"  # AppA's handler turns the switch off
+        assert label in CnfUnionSystem(skeleton).prop_cubes
+        formula = ctl.AG(ctl.Not(ctl.Prop(label)))
+        kripke = build_kripke(build_union_model(models))
+        assert not explicit_check(kripke, formula).holds
+        checker = PortfolioChecker(skeleton)
+        result = checker.check(formula)
+        assert result.holds is False
+        assert checker.stats["bmc_queries"] == 1
+        assert checker.stats["bmc_violations"] == 0
+        assert checker.stats["fallbacks"] == 1
 
     def test_portfolio_mode_rejects_unknown_modes(self):
         _models, skeleton = _skeleton()

@@ -111,13 +111,13 @@ class TestCorpusCli:
         assert "0 app(s) with violations" in out
 
     def test_cache_dir_flag_persists_analyses(self, tmp_path, capsys):
-        from repro.corpus.diskcache import DiskCache
+        from repro.pipeline.store import ArtifactStore
 
         code = main(
             ["corpus", "maliot", "--jobs", "1", "--cache-dir", str(tmp_path)]
         )
         assert code == 1
-        assert len(DiskCache(tmp_path).entries()) == 17
+        assert len(ArtifactStore(tmp_path).entries("analysis")) == 17
 
 
 class TestCacheCli:

@@ -14,6 +14,7 @@ from repro.corpus.sweep import (
     sweep_dataset,
     sweep_environments,
 )
+from repro.pipeline.store import ArtifactStore
 
 
 class TestInteractionChannels:
@@ -115,7 +116,7 @@ class TestSweepEnvironments:
         outcomes = sweep_environments(groups, jobs=1)
         assert [o.group for o in outcomes] == [tuple(g) for g in groups]
         for outcome, (_ids, prop) in zip(outcomes, groundtruth.MALIOT_ENVIRONMENTS):
-            assert not outcome.skipped
+            assert not outcome.failed
             assert prop in outcome.violated_ids(), outcome.group
 
     def test_table4_sweep_reproduces_paper_totals(self):
@@ -140,7 +141,7 @@ class TestSweepEnvironments:
 
         monkeypatch.setattr(SmartApp, "from_source", boom)
         outcomes = sweep_environments([group], jobs=1)
-        assert not outcomes[0].skipped
+        assert not outcomes[0].failed
 
     def test_explicit_oversized_group_failed_not_raised(self):
         # Forcing the explicit backend restores the old budget behavior:
@@ -150,7 +151,6 @@ class TestSweepEnvironments:
             [group], jobs=1, max_union_states=100, backend="explicit"
         )
         assert outcomes[0].failed
-        assert outcomes[0].skipped  # backwards-compatible alias
         assert outcomes[0].backend is None
         assert "exceed" in outcomes[0].error
         assert outcomes[0].violated_ids() == set()
@@ -173,12 +173,11 @@ class TestSweepEnvironments:
 
     def test_disk_cache_threaded_through(self, tmp_path):
         from repro.corpus import batch
-        from repro.corpus.diskcache import DiskCache
 
         batch.clear_cache()
         try:
             sweep_environments([("App1", "App15")], jobs=1, cache_dir=tmp_path)
-            assert len(DiskCache(tmp_path).entries()) == 2
+            assert len(ArtifactStore(tmp_path).entries("analysis")) == 2
         finally:
             batch.clear_cache()
 
@@ -186,14 +185,13 @@ class TestSweepEnvironments:
 class TestSweepCaching:
     def test_warm_sweep_served_from_sweep_cache(self, tmp_path, monkeypatch):
         from repro.corpus import batch, sweep as sweep_mod
-        from repro.corpus.diskcache import SweepCache
 
         group = ("App1", "App15")
         batch.clear_cache()
         try:
             cold = sweep_environments([group], jobs=1, cache_dir=tmp_path)
             assert not cold[0].cached
-            assert len(SweepCache(tmp_path).entries()) == 1
+            assert len(ArtifactStore(tmp_path).entries("sweep")) == 1
 
             # A warm run must not build/check any union model — kill the
             # checker to prove the result comes from the sweep cache.
@@ -202,7 +200,7 @@ class TestSweepCaching:
             def boom(*_args, **_kwargs):
                 raise AssertionError("warm sweep re-checked a union model")
 
-            monkeypatch.setattr(sweep_mod, "_union_outcome", boom)
+            monkeypatch.setattr(sweep_mod, "union_outcome", boom)
             warm = sweep_environments([group], jobs=1, cache_dir=tmp_path)
             assert warm[0].cached
             assert warm[0].violated_ids() == cold[0].violated_ids()
@@ -225,7 +223,6 @@ class TestSweepCaching:
 
     def test_failed_outcomes_not_cached(self, tmp_path):
         from repro.corpus import batch
-        from repro.corpus.diskcache import SweepCache
 
         group = tuple(groundtruth.TABLE4_GROUPS[2].apps)
         batch.clear_cache()
@@ -235,7 +232,7 @@ class TestSweepCaching:
                 max_union_states=100, backend="explicit",
             )
             assert outcomes[0].failed
-            assert SweepCache(tmp_path).entries() == []
+            assert ArtifactStore(tmp_path).entries("sweep") == []
         finally:
             batch.clear_cache()
 
@@ -266,7 +263,7 @@ class TestSweepDataset:
 
 
 class TestSweepOutcome:
-    def test_skipped_outcome_shape(self):
+    def test_failed_outcome_shape(self):
         outcome = SweepOutcome(group=("A", "B"), environment=None, error="boom")
-        assert outcome.skipped
+        assert outcome.failed
         assert outcome.violated_ids() == set()

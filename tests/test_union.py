@@ -3,7 +3,7 @@
 import pytest
 
 from repro.ir import build_ir
-from repro.model import build_union_model, extract_model, union_state_count
+from repro.model import build_union_model, estimate_union_states, extract_model
 from repro.platform import SmartApp
 
 
@@ -80,14 +80,14 @@ class TestUnionConstruction:
 
     def test_union_state_count_predicts_built_size(self):
         models = [model_of(APP_A), model_of(APP_B)]
-        assert union_state_count(models) == build_union_model(models).size()
+        assert estimate_union_states(models) == build_union_model(models).size()
 
     def test_union_state_count_respects_shared_device_mapping(self):
         app_c = APP_B.replace("the_switch", "other_switch")
         models = [model_of(APP_A), model_of(app_c)]
         mapping = {("B", "other_switch"): "the_switch"}
-        assert union_state_count(models, mapping) == 8
-        assert union_state_count(models) == 16
+        assert estimate_union_states(models, mapping) == 8
+        assert estimate_union_states(models) == 16
 
 
 HEATER = '''
