@@ -26,6 +26,7 @@ from repro.corpus.loader import app_ids
 from repro.corpus.sweep import sweep_dataset
 from repro.model.encoder import SymbolicUnionModel
 from repro.model.union import build_union_skeleton, estimate_union_states
+from repro.pipeline.stages import CheckConfig
 from repro.soteria import analyze_environment
 
 #: Wall-clock ceiling for symbolically checking the full 82-app corpus
@@ -96,7 +97,9 @@ def test_all_corpus_union_checked_partitioned(benchmark, corpus_models, bench_js
 
 def test_all_corpus_sweep_mode_has_no_failures(corpus_models):
     """`soteria sweep --all-corpus` semantics: one outcome, never failed."""
-    outcomes = sweep_dataset("all", jobs=1, all_corpus=True, backend="symbolic")
+    outcomes = sweep_dataset(
+        "all", jobs=1, all_corpus=True, config=CheckConfig("symbolic")
+    )
     (outcome,) = outcomes
     assert len(outcome.group) == 82
     assert not outcome.failed

@@ -24,8 +24,9 @@ Subcommands::
 the product Kripke structure), ``symbolic`` (BDD-compiled relation, no
 product enumeration), ``bmc`` (SAT engines — incremental bounded model
 checking, then an IC3/PDR proof attempt, BDD fallback only when both are
-inconclusive), ``portfolio`` (shallow BMC raced against the BDD checker
-per formula; first conclusive verdict wins), or the default ``auto``
+inconclusive), ``portfolio`` (per formula a shallow BMC pass, then the
+BDD checker for whatever it did not refute — run one after the other,
+not raced), or the default ``auto``
 (explicit under the state budget, symbolic above it) — so oversized
 interaction clusters are *checked*, not skipped.
 
@@ -96,7 +97,7 @@ import sys
 
 from repro.mc.kernel import KERNEL_CHOICES, aggregate_kernel_stats
 from repro.model.encoder import ENCODINGS
-from repro.pipeline.stages import BACKENDS
+from repro.pipeline.stages import BACKENDS, CheckConfig
 from repro.service.app import (
     DEFAULT_TENANT_QUOTA as TENANT_QUOTA_DEFAULT,
     MAX_PENDING_JOBS as MAX_PENDING_JOBS_DEFAULT,
@@ -200,19 +201,20 @@ def _cmd_corpus(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    from repro.corpus.sweep import environment_only_ids, sweep_dataset
+    from repro.corpus.sweep import (
+        DEFAULT_MAX_UNION_STATES,
+        environment_only_ids,
+        sweep_dataset,
+    )
 
-    budget = {} if args.max_states is None else {"max_union_states": args.max_states}
+    budget = DEFAULT_MAX_UNION_STATES if args.max_states is None else args.max_states
     outcomes = sweep_dataset(
         args.dataset,
         jobs=args.jobs,
         cache_dir=args.cache_dir,
         pairwise=args.pairs,
-        backend=args.backend,
-        encoding=args.encoding,
-        kernel=args.kernel,
+        config=CheckConfig(args.backend, args.encoding, args.kernel, budget),
         all_corpus=args.all_corpus,
-        **budget,
     )
     kind = "pair" if args.pairs else "group"
     if args.all_corpus:
@@ -472,9 +474,9 @@ def main(argv: list[str] | None = None) -> int:
         choices=list(BACKENDS),
         default="auto",
         help="union checker: explicit Kripke, symbolic BDDs, bmc (SAT "
-        "engines with BDD fallback), portfolio (BMC raced against the "
-        "BDD checker), or auto (explicit under the state budget, "
-        "symbolic above; default)",
+        "engines with BDD fallback), portfolio (a shallow BMC pass, then "
+        "the BDD checker for what it did not refute), or auto (explicit "
+        "under the state budget, symbolic above; default)",
     )
     p_env.add_argument(
         "--encoding",

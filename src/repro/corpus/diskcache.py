@@ -4,10 +4,11 @@ Every whole-result cache lives in :class:`~repro.pipeline.store.ArtifactStore`
 stages (``analysis``, ``sweep``, ``shape``, ``fleet``); see
 :mod:`repro.pipeline.store` for the on-disk layout.  :class:`FleetCache`
 only turns a canonical household key (:func:`repro.fleet.canon.household_key`)
-plus the checker knobs of a screen into a ``fleet`` artifact key, so
-isomorphic households share one entry and a forced
-``--backend``/``--encoding``/``--kernel`` screen is never served a verdict
-a differently configured screen produced.
+plus the :class:`~repro.pipeline.stages.CheckConfig` key of a screen into
+a ``fleet`` artifact key, so isomorphic households share one entry and a
+screen with a forced ``--backend``/``--encoding``/``--kernel`` or another
+budget is never served a verdict a differently configured screen
+produced.
 
 It stays a class, rather than two store calls inline in the fleet
 driver, because its ``get``/``put`` are the fleet probe the benchmark's
@@ -16,9 +17,8 @@ layer tracer (``perfbench/layers.py``) times.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
-
 from repro.fleet.telemetry import HouseholdVerdict
+from repro.pipeline.stages import CheckConfig
 from repro.pipeline.store import ArtifactStore, artifact_key
 
 __all__ = ["FleetCache"]
@@ -29,9 +29,9 @@ class FleetCache:
 
     STAGE = "fleet"
 
-    def __init__(self, store: ArtifactStore, knobs: Mapping[str, object]):
+    def __init__(self, store: ArtifactStore, config: CheckConfig):
         self.store = store
-        self.knobs = dict(knobs)
+        self.knobs = {"config": config.key()}
 
     def key_for(self, canonical_key: str) -> str:
         return artifact_key(self.STAGE, [canonical_key], self.knobs)

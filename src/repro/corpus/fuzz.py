@@ -52,7 +52,9 @@ from repro.gen.generator import GenConfig, GeneratedApp, generate_app, generate_
 from repro.gen.shrink import shrink_app, shrink_cluster
 from repro.gen.templates import BENIGN_PATTERNS
 from repro.ir import build_ir
-from repro.soteria import AppAnalysis, analyze_app, analyze_environment
+from repro.pipeline.runner import default_pipeline
+from repro.pipeline.stages import CheckConfig
+from repro.soteria import AppAnalysis, analyze_app
 
 #: Union-state ceiling for a fuzz case: the generator's budgets keep
 #: cases far below it; anything above indicates a generator/estimator
@@ -256,48 +258,55 @@ def _compare_runs(explicit, other, tag: str) -> str:
     return ""
 
 
-def _differential(
-    analyses: list[AppAnalysis],
-    encoding: str = "auto",
-    kernel: str = "auto",
-    backend: str = "auto",
-) -> tuple[int, str]:
-    """Every backend/encoding/kernel over one environment; "" = agreement.
-
-    The explicit checker is the oracle; each requested symbolic encoding
-    (one of ``auto``/``monolithic``/``partitioned``, or both concrete
-    encodings for ``"both"``) must match it on violation sets and on
-    every per-formula verdict.  ``kernel="both"`` additionally runs every
-    symbolic pass on the reference AND the fast BDD kernel, so each case
-    cross-checks the kernels against the explicit oracle *and* against
-    each other.  ``backend="both"`` adds a SAT (``bmc``) pass, making the
-    case a three-way explicit/symbolic/BMC differential.
-    """
-    explicit = analyze_environment(list(analyses), backend="explicit")
+def _passes(config: FuzzConfig) -> list[CheckConfig]:
+    """The checks each case runs besides the explicit oracle: one
+    symbolic pass per requested encoding x kernel (``"both"`` expands to
+    both concrete values), plus a ``bmc`` pass for ``backend="both"``."""
     encodings = (
-        ("monolithic", "partitioned") if encoding == "both" else (encoding,)
+        ("monolithic", "partitioned")
+        if config.encoding == "both"
+        else (config.encoding,)
     )
-    kernels = ("reference", "fast") if kernel == "both" else (kernel,)
-    for chosen, chosen_kernel in (
-        (enc, ker) for enc in encodings for ker in kernels
-    ):
-        symbolic = analyze_environment(
-            list(analyses), backend="symbolic", encoding=chosen,
-            kernel=chosen_kernel,
+    kernels = ("reference", "fast") if config.kernel == "both" else (config.kernel,)
+    passes = [
+        CheckConfig("symbolic", encoding, kernel)
+        for encoding in encodings
+        for kernel in kernels
+    ]
+    if config.backend == "both":
+        passes.append(
+            CheckConfig(
+                "bmc",
+                config.encoding if config.encoding != "both" else "auto",
+                config.kernel if config.kernel != "both" else "auto",
+            )
         )
-        detail = _compare_runs(
-            explicit, symbolic, f"symbolic/{symbolic.encoding}/{symbolic.kernel}"
+    return passes
+
+
+def _differential(
+    analyses: list[AppAnalysis], config: FuzzConfig
+) -> tuple[int, str]:
+    """Every pass of :func:`_passes` over one environment; "" = agreement.
+
+    The explicit checker is the oracle; every pass must match it on
+    violation sets and on every per-formula verdict, so ``kernel="both"``
+    cross-checks the kernels against the explicit oracle *and* against
+    each other, and ``backend="both"`` makes the case a three-way
+    explicit/symbolic/BMC differential.
+    """
+    pipeline = default_pipeline()
+    explicit = pipeline.environment_analysis(
+        list(analyses), config=CheckConfig("explicit")
+    )
+    for check in _passes(config):
+        run = pipeline.environment_analysis(list(analyses), config=check)
+        tag = (
+            "bmc"
+            if check.backend == "bmc"
+            else f"symbolic/{run.encoding}/{run.kernel}"
         )
-        if detail:
-            return explicit.state_estimate, detail
-    if backend == "both":
-        bmc = analyze_environment(
-            list(analyses),
-            backend="bmc",
-            encoding=encoding if encoding != "both" else "auto",
-            kernel=kernel if kernel != "both" else "auto",
-        )
-        detail = _compare_runs(explicit, bmc, "bmc")
+        detail = _compare_runs(explicit, run, tag)
         if detail:
             return explicit.state_estimate, detail
     return explicit.state_estimate, ""
@@ -311,16 +320,11 @@ def _member_analyses(case: _Case) -> list[AppAnalysis]:
     return analyses
 
 
-def _sources_disagree(
-    sources: list[str],
-    encoding: str = "auto",
-    kernel: str = "auto",
-    backend: str = "auto",
-) -> bool:
+def _sources_disagree(sources: list[str], config: FuzzConfig) -> bool:
     """Shrink predicate for mismatch cases: do the backends still differ?"""
     try:
         analyses = [analyze_app(source) for source in sources]
-        _estimate, detail = _differential(analyses, encoding, kernel, backend)
+        _estimate, detail = _differential(analyses, config)
         return bool(detail)
     except Exception:
         return False
@@ -381,9 +385,7 @@ def _check_case_registered(index: int, config: FuzzConfig) -> CaseResult:
 
     # Differential oracle over the environment.
     try:
-        estimate, detail = _differential(
-            analyses, config.encoding, config.kernel, config.backend
-        )
+        estimate, detail = _differential(analyses, config)
     except Exception as exc:
         result = CaseResult(
             **base, status="error",
@@ -415,11 +417,7 @@ def _check_case_registered(index: int, config: FuzzConfig) -> CaseResult:
 
 
 def _same_error(
-    error_type: str,
-    corpus_sources: list[str],
-    encoding: str = "auto",
-    kernel: str = "auto",
-    backend: str = "auto",
+    error_type: str, corpus_sources: list[str], config: FuzzConfig = FuzzConfig()
 ):
     """Shrink predicate factory for pipeline-error cases: does analyzing
     the candidate sources still raise the same exception type?"""
@@ -429,7 +427,7 @@ def _same_error(
             analyses = [
                 analyze_app(source) for source in corpus_sources + candidates
             ]
-            _differential(analyses, encoding, kernel, backend)
+            _differential(analyses, config)
         except Exception as exc:
             return type(exc).__name__ == error_type
         return False
@@ -457,12 +455,7 @@ def _shrink_result(
     if result.status == "mismatch":
 
         def predicate(candidates: list[str]) -> bool:
-            return _sources_disagree(
-                corpus_sources + candidates,
-                config.encoding,
-                config.kernel,
-                config.backend,
-            )
+            return _sources_disagree(corpus_sources + candidates, config)
 
         result.shrunk = tuple(
             shrink_cluster(list(result.sources), predicate, protected)
@@ -471,13 +464,7 @@ def _shrink_result(
         result.shrunk = tuple(
             shrink_cluster(
                 list(result.sources),
-                _same_error(
-                    error_type,
-                    corpus_sources,
-                    config.encoding,
-                    config.kernel,
-                    config.backend,
-                ),
+                _same_error(error_type, corpus_sources, config),
                 protected,
             )
         )
@@ -609,15 +596,15 @@ def replay(directory: str | os.PathLike) -> tuple[bool, str]:
     if not sources:
         return False, f"no app*.groovy files under {directory}"
 
-    encoding = meta.get("config", {}).get("encoding", "auto")
-    kernel = meta.get("config", {}).get("kernel", "auto")
-    backend = meta.get("config", {}).get("backend", "auto")
+    knobs = ("encoding", "kernel", "backend")
+    recorded = meta.get("config", {})
+    config = FuzzConfig(**{knob: recorded.get(knob, "auto") for knob in knobs})
     try:
         analyses = [analyze_app(source) for source in sources]
     except Exception as exc:
         return True, f"pipeline error reproduced: {type(exc).__name__}: {exc}"
     try:
-        _estimate, detail = _differential(analyses, encoding, kernel, backend)
+        _estimate, detail = _differential(analyses, config)
     except Exception as exc:
         return True, f"union checking error reproduced: {type(exc).__name__}: {exc}"
     if detail:

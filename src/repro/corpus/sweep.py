@@ -15,9 +15,9 @@ turns that into a corpus-scale workload:
   over worker processes, reusing per-app analyses through the batch
   driver's ``analysis`` tier so no app source is ever parsed twice.
   With a ``cache_dir`` it also probes the store's ``sweep`` tier (keyed
-  on the sorted member source digests + the backend/encoding/kernel
-  knobs): a warm sweep serves finished environment analyses and skips
-  union checking entirely.
+  on the sorted member source digests + the :class:`CheckConfig` key):
+  a warm sweep serves finished environment analyses and skips union
+  checking entirely.
 
 State explosion is no longer a reason to skip anything: the default
 ``auto`` backend checks groups under the state budget explicitly and
@@ -48,6 +48,7 @@ from repro.ir import build_ir
 from repro.model.extractor import StateExplosionError
 from repro.model.union import estimate_union_states
 from repro.pipeline.runner import pipeline_for
+from repro.pipeline.stages import CheckConfig
 from repro.pipeline.store import artifact_key, resolve_cache_dir
 from repro.platform.events import EventKind
 from repro.soteria import AppAnalysis, EnvironmentAnalysis
@@ -63,6 +64,9 @@ MODE_CHANNEL = "location.mode"
 #: unions to 1 536 states) and stays on the explicit checker, while
 #: bigger corpus-enumerated clusters are checked symbolically.
 DEFAULT_MAX_UNION_STATES = 10_000
+
+#: The sweep's default check: ``auto`` over :data:`DEFAULT_MAX_UNION_STATES`.
+DEFAULT_CONFIG = CheckConfig(max_union_states=DEFAULT_MAX_UNION_STATES)
 
 
 # ======================================================================
@@ -250,10 +254,7 @@ def environment_only_ids(environment: EnvironmentAnalysis) -> set[str]:
 def union_outcome(
     group: tuple[str, ...],
     analyses: list[AppAnalysis],
-    max_union_states: int | None,
-    backend: str = "auto",
-    encoding: str = "auto",
-    kernel: str = "auto",
+    config: CheckConfig,
     cache_dir: str | None = None,
 ) -> SweepOutcome:
     """Build + check one union model from precomputed per-app analyses.
@@ -270,11 +271,7 @@ def union_outcome(
     """
     try:
         environment = pipeline_for(cache_dir).environment_analysis(
-            list(analyses),
-            max_union_states=max_union_states,
-            backend=backend,
-            encoding=encoding,
-            kernel=kernel,
+            list(analyses), config=config
         )
     except StateExplosionError as exc:
         # Only reachable with backend="explicit": auto hands oversized
@@ -286,25 +283,17 @@ def union_outcome(
 def _sweep_worker(
     group: tuple[str, ...],
     analyses: list[AppAnalysis],
-    max_union_states: int | None,
-    backend: str,
-    encoding: str,
-    kernel: str,
+    config: CheckConfig,
     cache_dir: str | None = None,
 ) -> tuple[tuple[str, ...], SweepOutcome]:
-    return group, union_outcome(
-        group, analyses, max_union_states, backend, encoding, kernel, cache_dir
-    )
+    return group, union_outcome(group, analyses, config, cache_dir)
 
 
 def sweep_environments(
     groups: Iterable[Sequence[str]],
     jobs: int | None = None,
     cache_dir: str | os.PathLike | None = None,
-    max_union_states: int | None = DEFAULT_MAX_UNION_STATES,
-    backend: str = "auto",
-    encoding: str = "auto",
-    kernel: str = "auto",
+    config: CheckConfig = DEFAULT_CONFIG,
 ) -> list[SweepOutcome]:
     """Union-model analysis over many app groups, in input order.
 
@@ -315,23 +304,23 @@ def sweep_environments(
     group ships its precomputed analyses to a worker, no re-parsing there
     either.
 
-    ``backend`` picks the union checker per group (see
+    ``config`` picks the union checker per group (see
     :func:`repro.soteria.analyze_environment`): the default ``auto``
-    checks groups within ``max_union_states`` explicitly and larger ones
-    symbolically, so *every* group is checked — oversized clusters are no
-    longer skipped.  Forcing ``backend="explicit"`` restores the old
-    budget behavior: groups beyond it come back as failed outcomes
-    carrying the explosion error.  ``encoding`` selects the symbolic
-    relation encoding (``auto`` | ``monolithic`` | ``partitioned``);
-    ``auto`` partitions wide unions, which is what lets the all-corpus
-    82-app union check end to end.
+    backend checks groups within ``config.max_union_states`` explicitly
+    and larger ones symbolically, so *every* group is checked —
+    oversized clusters are no longer skipped.  Forcing
+    ``backend="explicit"`` restores the old budget behavior: groups
+    beyond it come back as failed outcomes carrying the explosion error.
+    ``config.encoding`` selects the symbolic relation encoding (``auto``
+    | ``monolithic`` | ``partitioned``); ``auto`` partitions wide unions,
+    which is what lets the all-corpus 82-app union check end to end.
 
     With a ``cache_dir``, finished environment analyses are also stored
     sweep-level, keyed on the sorted member source digests + pipeline
-    version + the backend/encoding/kernel knobs: a warm sweep run serves
-    every unchanged group from disk and skips union checking entirely,
-    and a forced ``--backend``/``--encoding``/``--kernel`` validation run
-    is never served a result a differently-configured sweep produced.
+    version + ``config.key()``: a warm sweep run serves every unchanged
+    group from disk and skips union checking entirely, and a sweep with
+    a forced knob or another budget is never served a result a
+    differently-configured sweep produced.
 
     One outcome per input group, in input order — duplicate groups are
     analyzed once and each occurrence gets the shared result.
@@ -346,10 +335,9 @@ def sweep_environments(
     store = None if disk_path is None else pipeline_for(disk_path).store
     keys: dict[tuple[str, ...], str] = {}
     if store is not None:
-        knobs = {"backend": backend, "encoding": encoding, "kernel": kernel}
         for group in ordered:
             digests = sorted(_source_digest(app_id) for app_id in group)
-            keys[group] = artifact_key("sweep", digests, knobs)
+            keys[group] = artifact_key("sweep", digests, {"config": config.key()})
             cached = store.get("sweep", keys[group], EnvironmentAnalysis)
             if cached is not None:
                 outcomes[group] = SweepOutcome(
@@ -366,39 +354,32 @@ def sweep_environments(
     # analyses to any worker.  The StateExplosionError catch in
     # union_outcome stays as the backstop.
     worker_cache = None if disk_path is None else str(disk_path)
+    budget = config.max_union_states
     payloads: list[
-        tuple[
-            tuple[str, ...], list[AppAnalysis], int | None, str, str, str,
-            str | None,
-        ]
+        tuple[tuple[str, ...], list[AppAnalysis], CheckConfig, str | None]
     ] = []
     for group in pending_groups:
         group_analyses = [analyses[app_id] for app_id in group]
-        if backend == "explicit" and max_union_states is not None:
+        if config.backend == "explicit" and budget is not None:
             total = estimate_union_states([a.model for a in group_analyses])
-            if total > max_union_states:
+            if total > budget:
                 outcomes[group] = SweepOutcome(
                     group=group,
                     environment=None,
                     error=f"union of {list(group)}: {total} states exceed budget",
                 )
                 continue
-        payloads.append(
-            (group, group_analyses, max_union_states, backend, encoding,
-             kernel, worker_cache)
-        )
+        payloads.append((group, group_analyses, config, worker_cache))
 
     # min_parallel=2: a sweep payload is a whole union-model check, so
     # even two groups are worth a pool (unlike batch's cheap per-app jobs).
     worker_count = _resolve_jobs(jobs, len(payloads), min_parallel=2)
     if len(payloads) > 1 and worker_count > 1:
         outcomes.update(run_in_pool(_sweep_worker, payloads, worker_count))
-    for (group, group_analyses, budget, chosen, chosen_encoding,
-         chosen_kernel, group_cache) in payloads:
+    for group, group_analyses, _config, group_cache in payloads:
         if group not in outcomes:
             outcomes[group] = union_outcome(
-                group, group_analyses, budget, chosen, chosen_encoding,
-                chosen_kernel, group_cache,
+                group, group_analyses, config, group_cache
             )
 
     if store is not None:
@@ -414,10 +395,7 @@ def sweep_dataset(
     jobs: int | None = None,
     cache_dir: str | os.PathLike | None = None,
     pairwise: bool = False,
-    max_union_states: int | None = DEFAULT_MAX_UNION_STATES,
-    backend: str = "auto",
-    encoding: str = "auto",
-    kernel: str = "auto",
+    config: CheckConfig = DEFAULT_CONFIG,
     all_corpus: bool = False,
 ) -> list[SweepOutcome]:
     """Sweep one dataset's candidate environments (or all of them).
@@ -440,12 +418,4 @@ def sweep_dataset(
         ]
     else:
         groups = groups_sharing_devices(dataset)
-    return sweep_environments(
-        groups,
-        jobs=jobs,
-        cache_dir=cache_dir,
-        max_union_states=max_union_states,
-        backend=backend,
-        encoding=encoding,
-        kernel=kernel,
-    )
+    return sweep_environments(groups, jobs=jobs, cache_dir=cache_dir, config=config)

@@ -41,7 +41,7 @@ import multiprocessing
 import queue as queue_module
 import time
 from collections import deque
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, replace
 
 from repro.corpus.diskcache import FleetCache
 from repro.corpus.loader import load_app, register_app, scoped_registration
@@ -55,7 +55,8 @@ from repro.fleet.profiles import (
     sample_stream,
 )
 from repro.fleet.telemetry import FleetTelemetry, HouseholdVerdict, ViolationRecord
-from repro.pipeline.runner import Pipeline, default_pipeline, pipeline_for
+from repro.pipeline.runner import Pipeline, pipeline_for
+from repro.pipeline.stages import CheckConfig
 from repro.pipeline.store import resolve_cache_dir
 
 #: The fleet explicit/symbolic crossover.  Far below the sweep default
@@ -66,15 +67,14 @@ FLEET_MAX_UNION_STATES = 512
 
 
 @dataclass(frozen=True)
-class FleetOptions:
-    """Execution knobs of one screening run (picklable for workers)."""
+class FleetOptions(CheckConfig):
+    """One screening run: the household check's :class:`CheckConfig`
+    (with the fleet's low explicit budget) plus execution knobs.
+    Picklable, so it ships to the pool workers as is."""
 
+    max_union_states: int | None = FLEET_MAX_UNION_STATES
     jobs: int = 1
     cache_dir: str | None = None
-    backend: str = "auto"
-    encoding: str = "auto"
-    kernel: str = "auto"
-    max_union_states: int = FLEET_MAX_UNION_STATES
     #: Households per IPC submission (amortizes queue round trips).
     batch_size: int = 16
     #: Outstanding batches per worker before the parent stops feeding.
@@ -102,12 +102,6 @@ class FleetResult:
         return 3 if self.telemetry.failed_households else 0
 
 
-def _pipeline(options: FleetOptions) -> Pipeline:
-    """The process-shared pipeline over the run's cache dir (memory-only
-    without one)."""
-    return pipeline_for(options.cache_dir) if options.cache_dir else default_pipeline()
-
-
 def check_household(
     household: Household,
     canonical_key: str,
@@ -125,7 +119,7 @@ def check_household(
     parse caches.
     """
     if pipeline is None:
-        pipeline = _pipeline(options)
+        pipeline = pipeline_for(options.cache_dir)
     members = household.member_ids()
     try:
         apps = []
@@ -133,15 +127,7 @@ def check_household(
             register_app(member.app_id, member.source)
             apps.append(load_app(member.app_id))
         analyses = [pipeline.app_analysis(app) for app in apps]
-        outcome = union_outcome(
-            members,
-            analyses,
-            options.max_union_states,
-            backend=options.backend,
-            encoding=options.encoding,
-            kernel=options.kernel,
-            cache_dir=options.cache_dir,
-        )
+        outcome = union_outcome(members, analyses, options, options.cache_dir)
     except Exception as exc:  # a broken household must not kill the fleet
         return HouseholdVerdict(
             canonical_key=canonical_key,
@@ -174,7 +160,7 @@ def check_household(
 # ======================================================================
 # Work-stealing process pool
 # ======================================================================
-def _fleet_worker_main(worker_id, task_queue, result_queue, options_payload) -> None:
+def _fleet_worker_main(worker_id, task_queue, result_queue, options) -> None:
     """Worker body: batches of (key, members) in, verdict lists out.
 
     Each worker owns one process-shared pipeline (warm per-app stages
@@ -182,8 +168,7 @@ def _fleet_worker_main(worker_id, task_queue, result_queue, options_payload) -> 
     its whole lifetime.  Nothing raised here may cross the queue as an
     exception: per-household failures travel as error verdicts.
     """
-    options = FleetOptions(**options_payload)
-    pipeline = _pipeline(options)
+    pipeline = pipeline_for(options.cache_dir)
     with scoped_registration():
         while True:
             batch = task_queue.get()
@@ -257,7 +242,6 @@ class StealingScheduler:
         try:
             self._task_queues = [context.Queue() for _ in range(workers)]
             result_queue = context.Queue()
-            payload = asdict(self.options)
             for worker in range(workers):
                 process = context.Process(
                     target=_fleet_worker_main,
@@ -265,7 +249,7 @@ class StealingScheduler:
                         worker,
                         self._task_queues[worker],
                         result_queue,
-                        payload,
+                        self.options,
                     ),
                     daemon=True,
                 )
@@ -327,23 +311,20 @@ def run_fleet(
     options = options or FleetOptions()
     started = time.perf_counter()
     telemetry = FleetTelemetry()
+    # Resolve $REPRO_CACHE_DIR once: shapes, checks and verdicts (here
+    # and in the pool workers) all live in the one store over it.
     disk_root = resolve_cache_dir(options.cache_dir)
+    if disk_root is not None:
+        options = replace(options, cache_dir=str(disk_root))
+    pipeline = pipeline_for(options.cache_dir)
     fleet_cache = None
     if disk_root is not None:
-        fleet_cache = FleetCache(
-            pipeline_for(disk_root).store,
-            {
-                "backend": options.backend,
-                "encoding": options.encoding,
-                "kernel": options.kernel,
-                "max_union_states": options.max_union_states,
-            },
-        )
+        fleet_cache = FleetCache(pipeline.store, options)
 
     with scoped_registration():
         # Member shapes share the checks' store: with a cache dir, a
         # warm re-screen reads every shape back instead of parsing.
-        pool = TemplatePool(profile, _pipeline(options).store)
+        pool = TemplatePool(profile, pipeline.store)
         key_counts: dict[str, int] = {}
         byte_variants: set[tuple[int, int]] = set()
         verdicts: dict[str, HouseholdVerdict] = {}
@@ -389,7 +370,6 @@ def run_fleet(
             fresh = StealingScheduler(options).run(tasks)
         done = {verdict.canonical_key for verdict in fresh}
         if len(done) < len(tasks):
-            pipeline = _pipeline(options)
             for key, template in pending.items():
                 if key not in done:
                     fresh.append(

@@ -13,7 +13,9 @@ The engines the pipeline's backends run:
   :mod:`.cnf` compiles the union transition relation to clauses for
   bounded unrolling on :mod:`.sat` (a from-scratch CDCL solver),
   :mod:`.ic3` proves invariants unboundedly over that encoding, and the
-  BDD checker answers whatever they leave inconclusive,
+  BDD checker answers whatever they leave inconclusive — one engine
+  after the other per formula (``portfolio`` is a shallow BMC pass, then
+  the BDD checker; nothing runs concurrently),
 
 mirroring NuSMV's combined BDD/SAT modes that the paper relies on (Sec. 5).
 """

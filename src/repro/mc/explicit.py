@@ -46,6 +46,9 @@ class ExplicitChecker:
 
     def __init__(self, kripke: KripkeStructure) -> None:
         self.kripke = kripke
+        #: State labelling for witness diagnosis (the symbolic checkers
+        #: expose the same attribute over their decoded states).
+        self.labels = kripke.labels
         self.all_states = frozenset(kripke.states)
         self._pred = kripke.predecessors()
         self._cache: dict[ctl.Formula, frozenset[KripkeState]] = {}

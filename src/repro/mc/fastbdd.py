@@ -236,7 +236,10 @@ class FastKernel(KernelBase):
 
         nodes = len(level)
         entries = len(cache)
-        result = rec(f, g)
+        try:
+            result = rec(f, g)
+        finally:
+            rec = None  # break the closure's cycle through its own cell
         self._count_apply(lookups, len(cache) - entries, len(level) - nodes)
         return result
 
@@ -314,7 +317,10 @@ class FastKernel(KernelBase):
 
         nodes = len(level)
         entries = len(cache)
-        result = rec(f, g)
+        try:
+            result = rec(f, g)
+        finally:
+            rec = None  # break the closure's cycle through its own cell
         self._count_apply(lookups, len(cache) - entries, len(level) - nodes)
         return result
 
@@ -388,7 +394,10 @@ class FastKernel(KernelBase):
 
         nodes = len(level)
         entries = len(cache)
-        result = rec(f, g)
+        try:
+            result = rec(f, g)
+        finally:
+            rec = None  # break the closure's cycle through its own cell
         self._count_apply(lookups, len(cache) - entries, len(level) - nodes)
         return result
 
@@ -981,7 +990,10 @@ class FastKernel(KernelBase):
             return res
 
         nodes = len(level)
-        result = rec(f)
+        try:
+            result = rec(f)
+        finally:
+            rec = None  # break the closure's cycle through its own cell
         if len(level) > nodes:
             self._live += len(level) - nodes
             self._index_dirty = True

@@ -1,4 +1,4 @@
-"""The raced SAT/BDD portfolio backend.
+"""The sequential SAT/BDD portfolio backend.
 
 :class:`PortfolioChecker` presents the :class:`SymbolicModelChecker`
 interface (``check(formula) -> CheckResult`` plus a ``labels`` map) over
@@ -16,10 +16,12 @@ cheapest engine that is conclusive:
    SAT engines (formula shapes BMC cannot encode, IC3 budget blown, or
    ``mode="portfolio"`` where proofs always go to the BDDs).
 
-The verdict is correct whichever engine answers (BMC counterexamples are
-concrete paths, IC3 proofs are inductive invariants, the fallback is the
-differentially-tested BDD checker), so racing changes latency only —
-that is what the portfolio parity suite pins down.
+The engines run one after the other per formula, in the order above —
+nothing is raced or cancelled.  The verdict is correct whichever engine
+answers (BMC counterexamples are concrete paths, IC3 proofs are
+inductive invariants, the fallback is the differentially-tested BDD
+checker), so the engine order changes latency only — that is what the
+portfolio parity suite pins down.
 """
 
 from __future__ import annotations
@@ -31,8 +33,8 @@ from repro.mc.ic3 import HOLDS, UNKNOWN, VIOLATED, IC3Prover
 from repro.model.kripke import KripkeState
 from repro.model.statemodel import StateModel
 
-#: BMC unrolling depth per mode.  ``portfolio`` races a shallow BMC
-#: against the BDD checker and never tries to prove with SAT; ``bmc``
+#: BMC unrolling depth per mode.  ``portfolio`` runs a shallow BMC pass
+#: before the BDD checker and never tries to prove with SAT; ``bmc``
 #: digs deeper and attempts an IC3 proof before falling back.
 PORTFOLIO_DEPTH = 4
 BMC_DEPTH = 8

@@ -23,10 +23,9 @@ from repro.pipeline.runner import Pipeline, default_pipeline, pipeline_for
 from repro.pipeline.stages import (
     AUTO_SYMBOLIC_THRESHOLD,
     BACKENDS,
+    CheckConfig,
     CheckOutcome,
-    resolve_backend,
     source_digest,
-    validate_knobs,
 )
 from repro.pipeline.store import (
     CACHE_DIR_ENV,
@@ -43,14 +42,13 @@ __all__ = [
     "PIPELINE_VERSION",
     "AppAnalysis",
     "ArtifactStore",
+    "CheckConfig",
     "CheckOutcome",
     "EnvironmentAnalysis",
     "Pipeline",
     "artifact_key",
     "default_pipeline",
     "pipeline_for",
-    "resolve_backend",
     "resolve_cache_dir",
     "source_digest",
-    "validate_knobs",
 ]

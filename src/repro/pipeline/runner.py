@@ -13,7 +13,7 @@ Key chains (every key also digests :data:`~repro.pipeline.store.PIPELINE_VERSION
     model   <- ir key, {abstract_numeric, form: materialized|skeleton}
     kripke  <- model key
     union   <- ordered member model keys, {form, shared-device map}
-    check   <- model/union key, {kind, catalog token, backend, encoding, kernel}
+    check   <- model/union key, {kind, catalog token, resolved CheckConfig.key()}
 
 Because input keys chain, invalidation is free: editing a source changes
 the parse key and therefore every downstream key, while re-checking with
@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import threading
 import time
+from dataclasses import replace
 
 from repro.ir import AppIR
 from repro.model import StateModel, estimate_union_states
@@ -36,12 +37,11 @@ from repro.model.kripke import KripkeStructure
 from repro.pipeline import stages
 from repro.pipeline.results import AppAnalysis, EnvironmentAnalysis
 from repro.pipeline.stages import (
+    CheckConfig,
     CheckOutcome,
     catalog_token,
     db_token,
-    resolve_backend,
     source_digest,
-    validate_knobs,
 )
 from repro.pipeline.store import ArtifactStore, artifact_key, resolve_cache_dir
 from repro.platform.capabilities import CapabilityDatabase, default_database
@@ -107,12 +107,13 @@ class Pipeline:
         db: CapabilityDatabase | None = None,
         catalog: PropertyCatalog | None = None,
         abstract_numeric: bool = True,
-        backend: str = "auto",
-        encoding: str = "auto",
-        kernel: str = "auto",
+        config: CheckConfig = CheckConfig(),
     ) -> AppAnalysis:
-        """parse -> ir -> model -> kripke -> check for one app."""
-        validate_knobs(backend, encoding, kernel)
+        """parse -> ir -> model -> kripke -> check for one app.
+
+        ``auto`` checks explicitly unless the model is too wide to
+        enumerate; the budget of ``config`` applies to unions only.
+        """
         db = db or self._db or default_database()
         catalog = catalog or self._catalog or default_catalog()
         db_tok = db_token(db)
@@ -147,7 +148,7 @@ class Pipeline:
 
         # model ---------------------------------------------------------
         start = time.perf_counter()
-        chosen = "explicit" if backend == "auto" else backend
+        chosen = "explicit" if config.backend == "auto" else config.backend
         model: StateModel | None = None
         if chosen == "explicit":
             model_key = self._model_key(ir_key, abstract_numeric, "materialized")
@@ -159,7 +160,7 @@ class Pipeline:
                     )
                     store.put("model", model_key, model, memory_only=volatile_db)
                 except StateExplosionError:
-                    if backend == "explicit":
+                    if config.backend == "explicit":
                         raise
                     chosen = "symbolic"  # auto: too wide to enumerate
         if model is None:
@@ -188,24 +189,16 @@ class Pipeline:
         # check ---------------------------------------------------------
         start = time.perf_counter()
         volatile = volatile_db or cat_tok != "default"
+        resolved = replace(config, backend=chosen).resolve(0)
         check_key = artifact_key(
             "check",
             [model_key],
-            {
-                "kind": "app",
-                "catalog": cat_tok,
-                "backend": chosen,
-                # Every non-explicit backend can consult the BDD knobs
-                # (the portfolio backends via their symbolic fallback).
-                "encoding": encoding if chosen != "explicit" else "-",
-                "kernel": kernel if chosen != "explicit" else "-",
-            },
+            {"kind": "app", "catalog": cat_tok, "config": resolved.key()},
         )
         outcome = store.get("check", check_key, CheckOutcome, memory_only=volatile)
         if outcome is None:
             outcome = stages.run_app_check(
-                app.name, ir, model, kripke, db, catalog, chosen, encoding,
-                kernel,
+                app.name, ir, model, kripke, db, catalog, resolved
             )
             store.put("check", check_key, outcome, memory_only=volatile)
         timings["properties"] = time.perf_counter() - start
@@ -239,13 +232,9 @@ class Pipeline:
         db: CapabilityDatabase | None = None,
         catalog: PropertyCatalog | None = None,
         shared_devices: dict[tuple[str, str], str] | None = None,
-        max_union_states: int | None = None,
-        backend: str = "auto",
-        encoding: str = "auto",
-        kernel: str = "auto",
+        config: CheckConfig = CheckConfig(),
     ) -> EnvironmentAnalysis:
         """Per-app stages (or precomputed analyses) -> union -> check."""
-        validate_knobs(backend, encoding, kernel)
         db = db or self._db or default_database()
         catalog = catalog or self._catalog or default_catalog()
         db_tok = db_token(db)
@@ -253,22 +242,21 @@ class Pipeline:
         volatile_db = db_tok != "default"
         store = self.store
 
-        # Per-app pipeline for raw members, threading every knob: a
+        # Per-app pipeline for raw members under the same config: a
         # forced-backend environment run must analyze its members with
         # the same backend/encoding, not silently with the defaults.
         analyses = [
             source
             if isinstance(source, AppAnalysis)
-            else self.app_analysis(
-                source, db=db, catalog=catalog, backend=backend,
-                encoding=encoding, kernel=kernel,
-            )
+            else self.app_analysis(source, db=db, catalog=catalog, config=config)
             for source in sources
         ]
 
         models = [a.model for a in analyses]
         estimate = estimate_union_states(models, shared_devices)
-        chosen = resolve_backend(backend, estimate, max_union_states)
+        resolved = config.resolve(estimate)
+        chosen = resolved.backend
+        budget = config.max_union_states
         member_keys = [self._model_key_for(a) for a in analyses]
         # A precomputed member analyzed under a custom database carries a
         # process-local token in its model key; every union-derived key
@@ -289,7 +277,7 @@ class Pipeline:
             "union", member_keys, {"form": form, "shared": shared_tok}
         )
         start = time.perf_counter()
-        if chosen == "explicit" and max_union_states is not None and estimate > max_union_states:
+        if chosen == "explicit" and budget is not None and estimate > budget:
             # Over an explicit caller budget the cold path raises before
             # enumerating anything; a cached union (built under a larger
             # budget) must not mask that contract on warm runs.
@@ -301,7 +289,7 @@ class Pipeline:
         if union is None:
             union = stages.run_union(
                 models, db, shared_devices,
-                materialize=chosen == "explicit", max_states=max_union_states,
+                materialize=chosen == "explicit", max_states=budget,
             )
             store.put("union", union_key, union, memory_only=volatile_members)
         timings["union"] = time.perf_counter() - start
@@ -325,20 +313,12 @@ class Pipeline:
         check_key = artifact_key(
             "check",
             [union_key],
-            {
-                "kind": "env",
-                "catalog": cat_tok,
-                "backend": chosen,
-                "encoding": encoding if chosen != "explicit" else "-",
-                "kernel": kernel if chosen != "explicit" else "-",
-            },
+            {"kind": "env", "catalog": cat_tok, "config": resolved.key()},
         )
         outcome = store.get("check", check_key, CheckOutcome, memory_only=volatile)
         if outcome is None:
             irs = [a.ir for a in analyses]
-            outcome = stages.run_env_check(
-                union, irs, kripke, catalog, chosen, encoding, kernel
-            )
+            outcome = stages.run_env_check(union, irs, kripke, catalog, resolved)
             store.put("check", check_key, outcome, memory_only=volatile)
         timings["properties"] = time.perf_counter() - start
 

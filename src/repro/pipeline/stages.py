@@ -11,7 +11,7 @@ ir        parse artifact + capability database           :class:`AppIR`
 model     ir artifact + abstraction/materialization      :class:`StateModel`
 kripke    materialized model artifact                    :class:`KripkeStructure`
 union     member model artifacts + sharing map           :class:`StateModel`
-check     model/union artifact + catalog + backend       :class:`CheckOutcome`
+check     model/union artifact + catalog + CheckConfig   :class:`CheckOutcome`
 ========  =============================================  ==================
 
 The functions hold **no caching and no timing** — orchestration (which
@@ -30,7 +30,7 @@ machine-local state, cheap to rebuild and unsafe to pickle, while the
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from itertools import count as _count
 
 from repro.ir import AppIR, build_ir
@@ -62,44 +62,72 @@ AUTO_SYMBOLIC_THRESHOLD = 10_000
 
 #: Recognized checker backends.  ``bmc`` answers with the SAT engines
 #: (bounded refutation, then IC3 proof) before falling back to BDDs;
-#: ``portfolio`` races a shallow BMC pass against the BDD checker.
+#: ``portfolio`` runs a shallow BMC pass first and hands every formula it
+#: cannot refute to the BDD checker (sequentially, not as a race).
 BACKENDS = ("auto", "explicit", "symbolic", "bmc", "portfolio")
 
 
-def validate_knobs(backend: str, encoding: str, kernel: str = "auto") -> None:
-    """Fail fast on a misspelled knob — even when the value would never
-    be consulted on this particular input (e.g. a small model resolving
-    to the explicit backend must still reject a bogus encoding or an
-    unavailable BDD kernel)."""
-    if backend not in BACKENDS:
-        raise ValueError(
-            f"unknown backend {backend!r}; expected one of {', '.join(BACKENDS)}"
-        )
-    if encoding not in ENCODINGS:
-        raise ValueError(
-            f"unknown encoding {encoding!r}; expected one of {', '.join(ENCODINGS)}"
-        )
-    resolve_kernel(kernel)
+@dataclass(frozen=True)
+class CheckConfig:
+    """Which checker answers a check, and with which knobs.
 
+    ``backend`` is one of :data:`BACKENDS`; ``encoding`` (the symbolic
+    relation encoding) and ``kernel`` (the BDD kernel) are consulted by
+    every non-explicit backend; ``max_union_states`` is the explicit
+    budget: ``auto`` goes symbolic past it (default
+    :data:`AUTO_SYMBOLIC_THRESHOLD`), and a forced ``explicit`` union
+    raises past it.  Frozen and picklable, so it ships to worker
+    processes as is.
 
-def resolve_backend(
-    backend: str, estimate: int, max_union_states: int | None = None
-) -> str:
-    """Pick the checker backend for a union of ``estimate`` product states.
-
-    ``auto`` goes symbolic once the estimate exceeds the explicit budget
-    (``max_union_states`` when given, else :data:`AUTO_SYMBOLIC_THRESHOLD`)
-    — the clusters the old sweep skipped are exactly the ones the BDD
-    backend exists for.  Explicit and symbolic are honored as-is.
+    Construction fails fast on a misspelled knob, even one a particular
+    input would never consult (a small model resolving to the explicit
+    backend must still reject a bogus encoding or kernel).
     """
-    if backend not in BACKENDS:
-        raise ValueError(
-            f"unknown backend {backend!r}; expected one of {', '.join(BACKENDS)}"
+
+    backend: str = "auto"
+    encoding: str = "auto"
+    kernel: str = "auto"
+    max_union_states: int | None = None
+
+    def __post_init__(self) -> None:
+        if self.backend not in BACKENDS:
+            raise ValueError(
+                f"unknown backend {self.backend!r}; "
+                f"expected one of {', '.join(BACKENDS)}"
+            )
+        if self.encoding not in ENCODINGS:
+            raise ValueError(
+                f"unknown encoding {self.encoding!r}; "
+                f"expected one of {', '.join(ENCODINGS)}"
+            )
+        resolve_kernel(self.kernel)
+
+    def resolve(self, estimate: int) -> CheckConfig:
+        """The config a model of ``estimate`` product states is checked
+        under: a concrete backend, carrying only the knobs it consults.
+
+        ``auto`` goes symbolic once the estimate exceeds the explicit
+        budget — the clusters the old sweep skipped are exactly the ones
+        the BDD backend exists for; a concrete backend ignores the
+        estimate.  The resolved :meth:`key` addresses the check artifact,
+        so an explicit check is shared across BDD knobs and budgets.
+        """
+        backend = self.backend
+        if backend == "auto":
+            budget = self.max_union_states
+            if budget is None:
+                budget = AUTO_SYMBOLIC_THRESHOLD
+            backend = "symbolic" if estimate > budget else "explicit"
+        if backend == "explicit":
+            return CheckConfig("explicit")
+        return CheckConfig(backend, self.encoding, self.kernel)
+
+    def key(self) -> str:
+        """The knob token every cache tier digests: each field, in order
+        (a subclass's extra fields are not check knobs)."""
+        return ",".join(
+            f"{f.name}={getattr(self, f.name)!r}" for f in fields(CheckConfig)
         )
-    if backend != "auto":
-        return backend
-    budget = max_union_states if max_union_states is not None else AUTO_SYMBOLIC_THRESHOLD
-    return "symbolic" if estimate > budget else "explicit"
 
 
 # ======================================================================
@@ -243,52 +271,27 @@ def run_app_check(
     kripke: KripkeStructure | None,
     db: CapabilityDatabase,
     catalog: PropertyCatalog,
-    backend: str,
-    encoding: str = "auto",
-    kernel: str = "auto",
+    config: CheckConfig,
 ) -> CheckOutcome:
     """check (single app): general properties + CTL on one model."""
     outcome = CheckOutcome()
     origins = [(app_name, s) for s in model.all_rules()]
     outcome.violations.extend(check_general_properties(origins, ir=ir, db=db))
-    if backend == "explicit":
+    if config.backend == "explicit":
         outcome.violations.extend(determinism_violations(model))
-        checker = ExplicitChecker(kripke)
-        labels = kripke.labels
-    elif backend in ("bmc", "portfolio"):
-        from repro.mc.portfolio import PortfolioChecker
-
-        # Same skeleton/written semantics as the symbolic branch below.
-        skeleton = build_union_skeleton([model], db=db)
-        checker = PortfolioChecker(
-            skeleton,
-            mode=backend,
-            written=frozenset(),
-            encoding=encoding,
-            kernel=kernel,
-        )
-        labels = checker.labels
-        outcome.skipped_properties.append("DET")
+        checker = _checker(model, kripke, config)
     else:
-        from repro.mc.symbolic import SymbolicModelChecker
-        from repro.model.encoder import SymbolicUnionModel
-
         # The union skeleton of one model is the model itself with
         # rule_origins populated; the empty ``written`` set keeps the
         # single-app fire-on-change semantics (no self-stimulation).
         skeleton = build_union_skeleton([model], db=db)
-        symbolic = SymbolicUnionModel(
-            skeleton, encoding=encoding, written=frozenset(), kernel=kernel
-        )
-        checker = SymbolicModelChecker(symbolic)
-        labels = checker.labels
-        outcome.encoding = symbolic.encoding
-        outcome.kernel = symbolic.kernel
-        # DET is defined on materialized transitions, which this backend
-        # never builds — record the gap instead of silently omitting it.
+        checker = _checker(skeleton, None, config, written=frozenset())
+        # DET is defined on materialized transitions, which these
+        # backends never build — record the gap instead of silently
+        # omitting it.
         outcome.skipped_properties.append("DET")
-    check_app_specific(outcome, [ir], model, checker, labels, catalog)
-    _finish_check(outcome, checker, backend)
+    check_app_specific(outcome, [ir], model, checker, catalog)
+    _finish_check(outcome, checker, config)
     return outcome
 
 
@@ -297,55 +300,66 @@ def run_env_check(
     irs: list[AppIR],
     kripke: KripkeStructure | None,
     catalog: PropertyCatalog,
-    backend: str,
-    encoding: str = "auto",
-    kernel: str = "auto",
+    config: CheckConfig,
 ) -> CheckOutcome:
     """check (environment): general properties + CTL on the union model."""
     outcome = CheckOutcome()
     outcome.violations.extend(check_general_properties(union.rule_origins))
-    if backend == "explicit":
-        checker = ExplicitChecker(kripke)
-        labels = kripke.labels
-    elif backend in ("bmc", "portfolio"):
-        from repro.mc.portfolio import PortfolioChecker
-
-        checker = PortfolioChecker(
-            union, mode=backend, encoding=encoding, kernel=kernel
-        )
-        labels = checker.labels
-    else:
-        from repro.mc.symbolic import SymbolicModelChecker
-        from repro.model.encoder import SymbolicUnionModel
-
-        symbolic = SymbolicUnionModel(union, encoding=encoding, kernel=kernel)
-        checker = SymbolicModelChecker(symbolic)
-        labels = checker.labels
-        outcome.encoding = symbolic.encoding
-        outcome.kernel = symbolic.kernel
-    check_app_specific(outcome, irs, union, checker, labels, catalog)
-    _finish_check(outcome, checker, backend)
+    checker = _checker(union, kripke, config)
+    check_app_specific(outcome, irs, union, checker, catalog)
+    _finish_check(outcome, checker, config)
     return outcome
 
 
-def _finish_check(outcome: CheckOutcome, checker, backend: str) -> None:
+def _checker(
+    model: StateModel,
+    kripke: KripkeStructure | None,
+    config: CheckConfig,
+    written: frozenset | None = None,
+):
+    """The CTL checker a resolved ``config`` names: explicit over
+    ``kripke``, else over the union skeleton ``model`` (``written`` as
+    in :class:`~repro.model.encoder.SymbolicUnionModel`)."""
+    if config.backend == "explicit":
+        return ExplicitChecker(kripke)
+    if config.backend in ("bmc", "portfolio"):
+        from repro.mc.portfolio import PortfolioChecker
+
+        return PortfolioChecker(
+            model,
+            mode=config.backend,
+            written=written,
+            encoding=config.encoding,
+            kernel=config.kernel,
+        )
+    from repro.mc.symbolic import SymbolicModelChecker
+    from repro.model.encoder import SymbolicUnionModel
+
+    return SymbolicModelChecker(
+        SymbolicUnionModel(
+            model, encoding=config.encoding, written=written, kernel=config.kernel
+        )
+    )
+
+
+def _finish_check(outcome: CheckOutcome, checker, config: CheckConfig) -> None:
     """Harvest backend observability after the property pass.
 
     The portfolio backends resolve their BDD knobs only if some formula
     actually fell back, so their encoding/kernel fields stay None on an
     all-SAT run — the stats dict records which engines answered.
     """
-    if backend in ("bmc", "portfolio"):
+    if config.backend == "explicit":
+        return
+    if config.backend in ("bmc", "portfolio"):
         outcome.portfolio = dict(checker.stats)
-        model = checker.symbolic_model
-        if model is not None:
-            outcome.encoding = model.encoding
-            outcome.kernel = model.kernel
-    if outcome.kernel is not None:
-        bdd = getattr(checker, "bdd", None)
-        if bdd is None:
-            bdd = checker.symbolic_model.bdd
-        outcome.kernel_stats = bdd.stats()
+        symbolic = checker.symbolic_model
+    else:
+        symbolic = checker.symbolic
+    if symbolic is not None:
+        outcome.encoding = symbolic.encoding
+        outcome.kernel = symbolic.kernel
+        outcome.kernel_stats = symbolic.bdd.stats()
         record_kernel_stats(outcome.kernel_stats)
 
 
@@ -382,18 +396,17 @@ def check_app_specific(
     irs: list[AppIR],
     model: StateModel,
     checker,
-    labels,
     catalog: PropertyCatalog,
 ) -> None:
     """Check the applicable catalog properties through any CTL backend.
 
     ``checker`` is anything with an explicit-compatible
-    ``check(formula) -> CheckResult`` (the explicit checker or the
-    symbolic model checker); ``labels`` maps witness states to their
-    atomic propositions for violation diagnosis — the Kripke labelling
-    for the explicit backend, the checker's decoded-state labels for the
-    symbolic one.
+    ``check(formula) -> CheckResult`` and a ``labels`` map from witness
+    states to their atomic propositions for violation diagnosis — the
+    Kripke labelling for the explicit backend, the decoded-state labels
+    for the symbolic ones.
     """
+    labels = checker.labels
     device_map: dict[str, str] = {}
     for ir in irs:
         for perm in ir.devices():

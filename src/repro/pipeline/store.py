@@ -41,11 +41,12 @@ Two layers share one keyspace:
   driver's per-app probe (:mod:`repro.corpus.batch`, keyed on app id +
   source digest) and ``sweep`` the sweep engine's per-group probe
   (:mod:`repro.corpus.sweep`, keyed on the sorted member source digests
-  + checker knobs): a warm corpus run or sweep reads them back without
-  touching any finer stage.  ``shape`` holds the fleet's per-app
-  canonical shapes (:func:`repro.fleet.canon.app_shape`, keyed on the
-  source digest) and ``fleet`` its household verdicts (keyed on the
-  canonical household form + checker knobs).  Every tier counts its
+  + :meth:`~repro.pipeline.stages.CheckConfig.key`): a warm corpus run
+  or sweep reads them back without touching any finer stage.  ``shape``
+  holds the fleet's per-app canonical shapes
+  (:func:`repro.fleet.canon.app_shape`, keyed on the source digest) and
+  ``fleet`` its household verdicts (keyed on the canonical household
+  form + the screen's ``CheckConfig.key()``).  Every tier counts its
   hits in :meth:`ArtifactStore.counters`, so ``soteria cache`` and
   ``/v1/stats`` see all of them.
 
@@ -74,8 +75,8 @@ from pathlib import Path
 #: (IR, abstraction, model extraction, property catalog, result
 #: dataclasses) can alter an artifact, so stale results are never served
 #: across code changes.
-PIPELINE_VERSION = "8"   # 8: the analysis/sweep/fleet tiers are keyed
-                         # with artifact_key like every other stage
+PIPELINE_VERSION = "9"   # 9: check/sweep/fleet keys digest
+                         # CheckConfig.key()
 
 #: Environment variable consulted when no cache directory is passed
 #: explicitly (CLI ``--cache-dir`` and the ``cache_dir=`` parameters win).

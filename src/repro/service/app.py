@@ -68,7 +68,7 @@ Hardening for real traffic:
 
 Workers default to a **process pool** (``soteria serve`` and
 :func:`build_server`): a worker receives only picklable job data — the
-named sources, the backend/encoding/kernel knobs, and the cache root —
+named sources, the job's :class:`CheckConfig`, and the cache root —
 and returns a plain result dict that the *parent* records on the job
 store, so no service state ever crosses the process boundary (with a
 disk cache root the workers additionally share stage artifacts through
@@ -90,7 +90,7 @@ from urllib.parse import parse_qs, urlparse
 
 from repro import __version__
 from repro.pipeline.runner import Pipeline, pipeline_for
-from repro.pipeline.stages import source_digest, validate_knobs
+from repro.pipeline.stages import CheckConfig, source_digest
 from repro.pipeline.store import ArtifactStore, resolve_cache_dir
 from repro.mc.kernel import aggregate_kernel_stats, record_kernel_stats
 from repro.service import policy
@@ -179,20 +179,24 @@ def validate_tenant(tenant: str) -> str:
     return tenant
 
 
-def _parse_submission(
-    body: dict,
-) -> tuple[list[tuple[str | None, str]], str, str, str]:
-    """Normalize a submission body to
-    ([(name, source), ...], backend, encoding, kernel)."""
-    if not isinstance(body, dict):
-        raise SubmissionError("submission body must be a JSON object")
-    backend = body.get("backend", "auto")
-    encoding = body.get("encoding", "auto")
-    kernel = body.get("kernel", "auto")
+def _check_config(body: dict, cls: type = CheckConfig, **extra) -> CheckConfig:
+    """The ``backend``/``encoding``/``kernel`` of a request body as a
+    validated ``cls`` (a :class:`CheckConfig`, or a subclass built with
+    ``extra`` fields)."""
+    knobs = {name: body.get(name, "auto") for name in ("backend", "encoding", "kernel")}
     try:
-        validate_knobs(backend, encoding, kernel)
+        return cls(**knobs, **extra)
     except ValueError as exc:
         raise SubmissionError(str(exc)) from None
+
+
+def _parse_submission(
+    body: dict,
+) -> tuple[list[tuple[str | None, str]], CheckConfig]:
+    """Normalize a submission body to ([(name, source), ...], config)."""
+    if not isinstance(body, dict):
+        raise SubmissionError("submission body must be a JSON object")
+    config = _check_config(body)
     if "sources" in body:
         raw = body["sources"]
         if not isinstance(raw, list) or not raw:
@@ -204,9 +208,9 @@ def _parse_submission(
                     "each sources[] item must be {'source': str, 'name'?: str}"
                 )
             entries.append((item.get("name"), item["source"]))
-        return entries, backend, encoding, kernel
+        return entries, config
     if isinstance(body.get("source"), str):
-        return [(body.get("name"), body["source"])], backend, encoding, kernel
+        return [(body.get("name"), body["source"])], config
     raise SubmissionError("submission needs 'source' or 'sources'")
 
 
@@ -303,9 +307,7 @@ class SoteriaService:
     def submit(
         self,
         entries: list[tuple[str | None, str]],
-        backend: str = "auto",
-        encoding: str = "auto",
-        kernel: str = "auto",
+        config: CheckConfig = CheckConfig(),
         tenant: str = DEFAULT_TENANT,
     ) -> tuple[JobRecord, bool]:
         """Register one submission; identical ones attach to their job.
@@ -315,7 +317,6 @@ class SoteriaService:
         quota — resubmissions that attach to an existing (unsettled or
         finished) job schedule nothing and are always served.
         """
-        validate_knobs(backend, encoding, kernel)
         validate_tenant(tenant)
         named = [
             (name if name else f"submission-{index + 1}", source)
@@ -323,11 +324,7 @@ class SoteriaService:
         ]
         digests = [source_digest(name, source) for name, source in named]
         key = submission_key(
-            list(zip((name for name, _ in named), digests)),
-            backend,
-            encoding,
-            kernel,
-            tenant=tenant,
+            list(zip((name for name, _ in named), digests)), config, tenant=tenant
         )
         with self._lock:
             self.jobs.sweep()  # lazy TTL/GC on the submission path
@@ -354,9 +351,7 @@ class SoteriaService:
                     apps=[name for name, _ in named],
                     digests=digests,
                     tenant=tenant,
-                    backend=backend,
-                    encoding=encoding,
-                    kernel=kernel,
+                    config=config,
                 )
                 record, _ = self.jobs.submit(record)
             elif schedule:
@@ -468,9 +463,6 @@ class SoteriaService:
         screens must never race their writes to the published
         telemetry slot (or thrash the shared store).
         """
-        from repro.fleet.driver import FleetOptions, run_fleet
-        from repro.fleet.profiles import FleetProfile
-
         if not isinstance(body, dict):
             raise SubmissionError("fleet body must be a JSON object")
         if not self._fleet_gate.acquire(blocking=False):
@@ -501,13 +493,12 @@ class SoteriaService:
                 raise SubmissionError(f"{name!r} must be in [0.0, 1.0]")
             return float(value)
 
-        backend = body.get("backend", "auto")
-        encoding = body.get("encoding", "auto")
-        kernel = body.get("kernel", "auto")
-        try:
-            validate_knobs(backend, encoding, kernel)
-        except ValueError as exc:
-            raise SubmissionError(str(exc)) from None
+        options = _check_config(
+            body,
+            FleetOptions,
+            jobs=_int("jobs", 1, 1, 4),
+            cache_dir=None if self._cache_root is None else str(self._cache_root),
+        )
         households = _int("households", 10_000, 1, MAX_FLEET_HOUSEHOLDS)
         profile = FleetProfile(
             seed=_int("seed", 0, 0, 2**32),
@@ -515,13 +506,6 @@ class SoteriaService:
             variants=_int("variants", 3, 1, 26),
             corpus_weight=_rate("corpus_weight", 0.25),
             inject_rate=_rate("inject_rate", 0.4),
-        )
-        options = FleetOptions(
-            jobs=_int("jobs", 1, 1, 4),
-            cache_dir=None if self._cache_root is None else str(self._cache_root),
-            backend=backend,
-            encoding=encoding,
-            kernel=kernel,
         )
         result = run_fleet(profile, households, options)
         payload = {
@@ -576,9 +560,7 @@ class SoteriaService:
                     _analyze_in_worker,
                     named,
                     record.kind,
-                    record.backend,
-                    record.encoding,
-                    record.kernel,
+                    record.config,
                     None if self._cache_root is None else str(self._cache_root),
                 ).result()
                 # The worker's kernel ran in another process: fold its
@@ -589,12 +571,7 @@ class SoteriaService:
                     record_kernel_stats(fields["kernel_stats"])
             else:
                 fields = _run_analysis(
-                    self.pipeline,
-                    named,
-                    record.kind,
-                    record.backend,
-                    record.encoding,
-                    record.kernel,
+                    self.pipeline, named, record.kind, record.config
                 )
             self.jobs.update(job_id, **fields)
         except Exception as exc:
@@ -626,26 +603,19 @@ def _run_analysis(
     pipeline: Pipeline,
     named: list[tuple[str | None, str]],
     kind: str,
-    backend: str,
-    encoding: str,
-    kernel: str = "auto",
+    config: CheckConfig,
 ) -> dict:
     """Run the staged pipeline for one job; returns the
     :class:`~repro.service.jobs.JobRecord` field updates as a plain
     JSON-ready dict — the process-pool wire format."""
     if kind == "app":
         name, source = named[0]
-        analysis = pipeline.app_analysis(
-            source, name=name, backend=backend, encoding=encoding, kernel=kernel
-        )
+        analysis = pipeline.app_analysis(source, name=name, config=config)
         violations = analysis.violations
         skipped = list(analysis.skipped_properties)
     else:
         analysis = pipeline.environment_analysis(
-            [source for _name, source in named],
-            backend=backend,
-            encoding=encoding,
-            kernel=kernel,
+            [source for _name, source in named], config=config
         )
         violations = analysis.violations
         skipped = sorted(
@@ -671,14 +641,12 @@ def _run_analysis(
 def _analyze_in_worker(
     named: list[tuple[str | None, str]],
     kind: str,
-    backend: str,
-    encoding: str,
-    kernel: str,
+    config: CheckConfig,
     cache_root: str | None,
 ) -> dict:
     """Process-pool worker body: picklable data in, picklable dict out.
 
-    Receives the named sources, the job kind, the knobs, and the cache
+    Receives the named sources, the job kind, the config, and the cache
     root — never the service instance — and analyzes on the worker
     process's shared pipeline over that root, so a worker reuses its own
     artifacts across jobs and, with a disk root, shares them with every
@@ -690,9 +658,7 @@ def _analyze_in_worker(
     the process boundary as an exception object.
     """
     try:
-        return _run_analysis(
-            pipeline_for(cache_root), named, kind, backend, encoding, kernel
-        )
+        return _run_analysis(pipeline_for(cache_root), named, kind, config)
     except Exception as exc:
         return {"status": "failed", "error": f"{type(exc).__name__}: {exc}"}
 
@@ -844,10 +810,8 @@ class _Handler(BaseHTTPRequestHandler):
                 payload = self.service.fleet_screen(body)
                 self._json(200, payload)
                 return
-            entries, backend, encoding, kernel = _parse_submission(body)
-            record, created = self.service.submit(
-                entries, backend, encoding, kernel, tenant=tenant
-            )
+            entries, config = _parse_submission(body)
+            record, created = self.service.submit(entries, config, tenant=tenant)
             wait = self._query().get("wait")
             if wait is not None:
                 try:

@@ -3,7 +3,8 @@
 A *job* is one screening request: a single SmartApp source or an
 environment of sources.  Its identity is the
 :func:`submission_key` — a SHA-256 over the ordered member (name,
-source-digest) pairs, the requested backend/encoding/kernel knobs, and
+source-digest) pairs, the requested
+:class:`~repro.pipeline.stages.CheckConfig`, and
 :data:`~repro.pipeline.store.PIPELINE_VERSION` — so resubmitting
 identical sources returns the *same* job record instead of scheduling
 duplicate work, exactly like the artifact store returning a cached
@@ -38,6 +39,7 @@ import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
+from repro.pipeline.stages import CheckConfig
 from repro.pipeline.store import PIPELINE_VERSION
 from repro.properties.catalog import Violation
 
@@ -54,26 +56,18 @@ DEFAULT_TENANT = "default"
 
 def submission_key(
     entries: list[tuple[str, str]],
-    backend: str = "auto",
-    encoding: str = "auto",
-    kernel: str = "auto",
+    config: CheckConfig = CheckConfig(),
     version: str = PIPELINE_VERSION,
     tenant: str = DEFAULT_TENANT,
 ) -> str:
     """Identity of one submission: the owning tenant, ordered
-    (name, source digest) pairs, the analysis knobs, and the pipeline
+    (name, source digest) pairs, the check config, and the pipeline
     version.  Order is meaning-bearing for environments (it is for the
     union model's app list), a knob change is a different job — forcing
     a backend (or a BDD kernel) must never be served the auto path's
     record — and the tenant namespaces the job space, so one tenant
     never reads (or retries) another tenant's record."""
-    parts = [
-        f"version={version}",
-        f"tenant={tenant}",
-        f"backend={backend}",
-        f"encoding={encoding}",
-        f"kernel={kernel}",
-    ]
+    parts = [f"version={version}", f"tenant={tenant}", f"config={config.key()}"]
     parts.extend(f"member={name}\0{digest}" for name, digest in entries)
     return hashlib.sha256("\n".join(parts).encode("utf-8")).hexdigest()
 
@@ -93,7 +87,8 @@ def violation_dict(violation: Violation) -> dict:
 
 @dataclass
 class JobRecord:
-    """One submission's durable state (all fields JSON-serializable)."""
+    """One submission's durable state (JSON-serializable through
+    :func:`dataclasses.asdict`; ``config`` nests as an object)."""
 
     id: str
     key: str
@@ -101,9 +96,7 @@ class JobRecord:
     apps: list[str]                # member names, submission order
     digests: list[str]             # member source digests, same order
     tenant: str = DEFAULT_TENANT   # owning namespace (quota + stats unit)
-    backend: str = "auto"
-    encoding: str = "auto"
-    kernel: str = "auto"
+    config: CheckConfig = CheckConfig()  # the requested check
     status: str = "queued"
     verdict: str | None = None     # policy.APPROVED | policy.NEEDS_REVIEW
     flagged: bool = False
@@ -314,6 +307,7 @@ class JobStore:
         for path in sorted(directory.glob("*.json")):
             try:
                 data = json.loads(path.read_text())
+                data["config"] = CheckConfig(**data["config"])
                 record = JobRecord(**data)
             except Exception:
                 continue  # torn/stale file: skip, do not crash startup

@@ -19,8 +19,8 @@ model checking on the union through interchangeable backends:
   (:mod:`repro.mc.cnf`), an IC3/PDR proof attempt for properties BMC
   cannot refute (:mod:`repro.mc.ic3`), and the BDD checker only when
   both are inconclusive;
-* ``portfolio`` — race a shallow BMC pass against the BDD checker per
-  formula; the first conclusive verdict wins
+* ``portfolio`` — per formula, a shallow BMC pass first and the BDD
+  checker for whatever it cannot refute, one after the other
   (:class:`repro.mc.portfolio.PortfolioChecker`);
 * ``auto`` (default) — explicit while the domain-product estimate fits
   the budget (small models check faster explicitly and keep the Kripke
@@ -48,11 +48,7 @@ from __future__ import annotations
 
 from repro.pipeline.results import AppAnalysis, EnvironmentAnalysis
 from repro.pipeline.runner import default_pipeline
-from repro.pipeline.stages import (
-    AUTO_SYMBOLIC_THRESHOLD,
-    BACKENDS,
-    resolve_backend,
-)
+from repro.pipeline.stages import AUTO_SYMBOLIC_THRESHOLD, BACKENDS, CheckConfig
 from repro.platform.capabilities import CapabilityDatabase
 from repro.platform.smartapp import SmartApp
 from repro.properties.catalog import PropertyCatalog, Violation
@@ -61,12 +57,12 @@ __all__ = [
     "AUTO_SYMBOLIC_THRESHOLD",
     "BACKENDS",
     "AppAnalysis",
+    "CheckConfig",
     "EnvironmentAnalysis",
     "SmartApp",
     "Violation",
     "analyze_app",
     "analyze_environment",
-    "resolve_backend",
 ]
 
 
@@ -103,9 +99,7 @@ def analyze_app(
         db=db,
         catalog=catalog,
         abstract_numeric=abstract_numeric,
-        backend=backend,
-        encoding=encoding,
-        kernel=kernel,
+        config=CheckConfig(backend, encoding, kernel),
     )
 
 
@@ -131,10 +125,10 @@ def analyze_environment(
     ``backend`` selects the union checker: ``"explicit"``, ``"symbolic"``,
     ``"bmc"``/``"portfolio"`` (the SAT/BDD portfolio — see the module
     docstring), or ``"auto"`` (the default — explicit under the state
-    budget, symbolic above it; see :func:`resolve_backend`).  ``max_union_states`` caps the
-    *explicit* union's state count (default: the
-    :func:`repro.model.build_union_model` budget); crossing it with
-    ``backend="explicit"`` raises
+    budget, symbolic above it; see :meth:`CheckConfig.resolve`).
+    ``max_union_states`` caps the *explicit* union's state count
+    (default: the :func:`repro.model.build_union_model` budget);
+    crossing it with ``backend="explicit"`` raises
     :class:`~repro.model.extractor.StateExplosionError` before any state
     is enumerated, while ``auto`` switches to the symbolic backend, which
     has no budget because it never materializes states.
@@ -158,8 +152,5 @@ def analyze_environment(
         db=db,
         catalog=catalog,
         shared_devices=shared_devices,
-        max_union_states=max_union_states,
-        backend=backend,
-        encoding=encoding,
-        kernel=kernel,
+        config=CheckConfig(backend, encoding, kernel, max_union_states),
     )

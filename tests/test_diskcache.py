@@ -13,6 +13,7 @@ from repro.fleet.driver import FleetOptions, run_fleet
 from repro.fleet.profiles import FleetProfile
 from repro.pipeline import store as store_mod
 from repro.pipeline.runner import pipeline_for
+from repro.pipeline.stages import CheckConfig
 from repro.pipeline.store import (
     CACHE_DIR_ENV,
     PIPELINE_VERSION,
@@ -133,16 +134,14 @@ class TestSweepCacheInvalidation:
     after any of them changed would silently mask regressions."""
 
     DIGESTS = ["digest-a", "digest-b"]
-    KNOBS = {"backend": "auto", "encoding": "auto", "kernel": "auto"}
 
     @pytest.fixture()
     def environment(self, o1_analysis):
         return analyze_environment([o1_analysis])
 
     def _key(self, digests, version=PIPELINE_VERSION, **knobs):
-        return artifact_key(
-            "sweep", sorted(digests), {**self.KNOBS, **knobs}, version=version
-        )
+        knob = {"config": CheckConfig(**knobs).key()}
+        return artifact_key("sweep", sorted(digests), knob, version=version)
 
     def test_round_trip_on_same_digests(self, tmp_path, environment):
         ArtifactStore(tmp_path).put("sweep", self._key(self.DIGESTS), environment)

@@ -15,6 +15,7 @@ from repro.cli import main
 from repro.corpus.batch import analyze_batch
 from repro.corpus.sweep import sweep_dataset, sweep_environments
 from repro.model.extractor import StateExplosionError
+from repro.pipeline.stages import CheckConfig
 from repro.soteria import analyze_app, analyze_environment
 
 
@@ -88,9 +89,26 @@ class TestSingleAppSymbolic:
         assert explicit.skipped_properties == []
         assert "skipped checks" not in render_report(explicit)
 
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError):
-            analyze_app(_wide_app(2), backend="quantum")
+    @pytest.mark.parametrize(
+        ("knob", "value", "message"),
+        [
+            ("backend", "quantum", "unknown backend 'quantum'; expected one "
+             "of auto, explicit, symbolic, bmc, portfolio"),
+            ("encoding", "fused", "unknown encoding 'fused'; expected one "
+             "of auto, monolithic, partitioned"),
+            ("kernel", "zdd", "unknown kernel 'zdd': expected one of auto, "
+             "reference, fast"),
+        ],
+        ids=["backend", "encoding", "kernel"],
+    )
+    def test_unknown_knob_rejected(self, knob, value, message):
+        # CheckConfig validates on construction, so the facade and every
+        # driver built on it reject a misspelled knob the same way.
+        with pytest.raises(ValueError) as config_error:
+            CheckConfig(**{knob: value})
+        with pytest.raises(ValueError) as facade_error:
+            analyze_app(_wide_app(2), **{knob: value})
+        assert str(config_error.value) == str(facade_error.value) == message
 
     def test_report_names_the_backend_and_exports_are_guarded(
         self, tmp_path, capsys
@@ -152,17 +170,16 @@ class TestEnvironmentEncodingKnob:
         assert not first[0].cached
         warm = sweep_environments([self.GROUP], jobs=1, cache_dir=tmp_path)
         assert warm[0].cached
+        partitioned = CheckConfig("symbolic", encoding="partitioned")
         forced = sweep_environments(
-            [self.GROUP], jobs=1, cache_dir=tmp_path,
-            backend="symbolic", encoding="partitioned",
+            [self.GROUP], jobs=1, cache_dir=tmp_path, config=partitioned
         )
         assert not forced[0].cached
         assert forced[0].environment.encoding == "partitioned"
         assert forced[0].violated_ids() == warm[0].violated_ids()
         # ... and the forced run caches under its own key.
         forced_warm = sweep_environments(
-            [self.GROUP], jobs=1, cache_dir=tmp_path,
-            backend="symbolic", encoding="partitioned",
+            [self.GROUP], jobs=1, cache_dir=tmp_path, config=partitioned
         )
         assert forced_warm[0].cached
 
@@ -188,7 +205,8 @@ class TestEnvironmentEncodingKnob:
 
     def test_sweep_threads_encoding_to_every_group(self):
         outcomes = sweep_environments(
-            [self.GROUP], jobs=1, backend="symbolic", encoding="partitioned"
+            [self.GROUP], jobs=1,
+            config=CheckConfig("symbolic", encoding="partitioned"),
         )
         (outcome,) = outcomes
         assert outcome.environment.backend == "symbolic"
@@ -200,7 +218,7 @@ class TestEnvironmentEncodingKnob:
 class TestAllCorpusSweep:
     def test_all_corpus_is_one_union_of_the_whole_dataset(self):
         outcomes = sweep_dataset(
-            "maliot", jobs=1, all_corpus=True, backend="symbolic"
+            "maliot", jobs=1, all_corpus=True, config=CheckConfig("symbolic")
         )
         (outcome,) = outcomes
         assert len(outcome.group) == 17             # every MalIoT app

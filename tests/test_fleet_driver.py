@@ -14,7 +14,8 @@ from repro.fleet.profiles import FleetProfile, TemplatePool, sample_stream
 from repro.fleet.telemetry import FleetTelemetry, HouseholdVerdict
 from repro.pipeline import runner
 from repro.pipeline.runner import Pipeline
-from repro.pipeline.store import ArtifactStore
+from repro.pipeline.stages import CheckConfig
+from repro.pipeline.store import CACHE_DIR_ENV, ArtifactStore
 from repro.platform.smartapp import SmartApp
 
 #: Small profile: a handful of canonical forms, so a serial run stays
@@ -112,6 +113,23 @@ class TestDiskTier:
         )
         assert set(warm.verdicts) == set(cold.verdicts)
 
+    def test_cache_dir_env_reaches_every_tier(self, tmp_path, monkeypatch):
+        # Regression: with $REPRO_CACHE_DIR and no cache_dir, only the
+        # verdicts persisted; shapes and checks went to the memory-only
+        # pipeline, so a fresh process re-parsed every member.
+        monkeypatch.setenv(CACHE_DIR_ENV, str(tmp_path))
+        cold = run_fleet(SMALL, COUNT, FleetOptions(jobs=1))
+        assert ArtifactStore(tmp_path).entries("shape")
+        assert ArtifactStore(tmp_path).entries("check")
+        fresh = Pipeline(ArtifactStore(tmp_path))
+        monkeypatch.setitem(runner._pipelines, str(tmp_path), fresh)
+        warm = run_fleet(SMALL, COUNT, FleetOptions(jobs=1))
+        assert warm.key_counts == cold.key_counts
+        assert warm.telemetry.fresh_checks == 0
+        shapes = fresh.store.counters()["shape"]
+        assert shapes["misses"] == 0
+        assert shapes["disk_hits"] > 0
+
     def test_shapes_parse_once_cold_and_never_warm(self, tmp_path, monkeypatch):
         parsed: list[str] = []
         original = SmartApp.from_source.__func__
@@ -151,16 +169,20 @@ class TestDiskTier:
         assert shape_hits["misses"] == 0
 
     def test_knobs_partition_the_tier(self, tmp_path):
-        auto = {"backend": "auto", "encoding": "auto", "kernel": "auto",
-                "max_union_states": 512}
         verdict = HouseholdVerdict(canonical_key="k" * 64, members=("A", "B"))
-        FleetCache(ArtifactStore(tmp_path), auto).put("k" * 64, verdict)
+        FleetCache(ArtifactStore(tmp_path), FleetOptions()).put("k" * 64, verdict)
         assert len(ArtifactStore(tmp_path).entries("fleet")) == 1
 
         def probe(**knobs):
-            return FleetCache(ArtifactStore(tmp_path), {**auto, **knobs}).get("k" * 64)
+            config = FleetOptions(**knobs)
+            return FleetCache(ArtifactStore(tmp_path), config).get("k" * 64)
 
         assert probe() is not None
+        # Execution knobs are not check knobs: the key is the
+        # CheckConfig part of the options alone.
+        assert probe(jobs=2, batch_size=4) is not None
+        plain = CheckConfig(max_union_states=FLEET_MAX_UNION_STATES)
+        assert FleetCache(ArtifactStore(tmp_path), plain).get("k" * 64) is not None
         # A forced-knob run never sees the auto entry.
         assert probe(backend="symbolic") is None
         assert probe(max_union_states=10_000) is None

@@ -10,11 +10,15 @@ serves a cross-kernel artifact*: check-stage artifacts, sweep entries,
 and service job records are all keyed on the kernel.
 """
 
+import gc
+import weakref
+
 import pytest
 
 from repro.corpus.batch import analyze_batch
 from repro.corpus.sweep import sweep_environments
 from repro.pipeline.runner import Pipeline
+from repro.pipeline.stages import CheckConfig
 from repro.pipeline.store import ArtifactStore
 from repro.soteria import analyze_app, analyze_environment
 
@@ -69,11 +73,11 @@ class TestCheckStageKeyedOnKernel:
         pipeline = Pipeline(store)
         members = [m.app for m in _members()]
         fast = pipeline.environment_analysis(
-            list(members), backend="symbolic"
+            list(members), config=CheckConfig("symbolic")
         )
         before = store.counters()
         reference = pipeline.environment_analysis(
-            list(members), backend="symbolic", kernel="reference"
+            list(members), config=CheckConfig("symbolic", kernel="reference")
         )
         after = store.counters()
         assert fast.kernel == "fast"
@@ -92,13 +96,10 @@ class TestCheckStageKeyedOnKernel:
         store = ArtifactStore()
         pipeline = Pipeline(store)
         members = [m.app for m in _members()]
-        pipeline.environment_analysis(
-            list(members), backend="symbolic", kernel="reference"
-        )
+        config = CheckConfig("symbolic", kernel="reference")
+        pipeline.environment_analysis(list(members), config=config)
         before = store.counters()
-        again = pipeline.environment_analysis(
-            list(members), backend="symbolic", kernel="reference"
-        )
+        again = pipeline.environment_analysis(list(members), config=config)
         after = store.counters()
         assert again.kernel == "reference"
         assert after["check"]["misses"] == before["check"]["misses"]
@@ -106,40 +107,70 @@ class TestCheckStageKeyedOnKernel:
     def test_explicit_checks_share_one_key_across_kernel_knobs(self):
         # The kernel only matters where a BDD manager actually runs: an
         # explicit check requested with a different kernel knob is the
-        # same artifact (the knob is recorded as "-" in the key).
+        # same artifact (the resolved explicit config drops the knob).
         store = ArtifactStore()
         pipeline = Pipeline(store)
         members = [m.app for m in _members()]
-        pipeline.environment_analysis(list(members), backend="explicit")
+        pipeline.environment_analysis(list(members), config=CheckConfig("explicit"))
         before = store.counters()
         pipeline.environment_analysis(
-            list(members), backend="explicit", kernel="reference"
+            list(members), config=CheckConfig("explicit", kernel="reference")
         )
         after = store.counters()
         assert after["check"]["misses"] == before["check"]["misses"]
 
 
+class TestKernelLifetime:
+    def test_finished_check_frees_its_kernel(self, monkeypatch):
+        # Regression: the fast kernel's recursive apply closures held
+        # their own cells, so every finished check left a reference
+        # cycle keeping its kernel (hundreds of MB on the 82-app union)
+        # alive until a full collection.  With the collector off, the
+        # kernel must die with the last reference to the result.
+        from repro.mc.fastbdd import FastKernel
+
+        kernels = []
+        original = FastKernel.__init__
+
+        def tracked(self, *args, **kwargs):
+            original(self, *args, **kwargs)
+            kernels.append(weakref.ref(self))
+
+        monkeypatch.setattr(FastKernel, "__init__", tracked)
+        members = [m.app for m in _members()]
+        gc.disable()
+        try:
+            env = Pipeline().environment_analysis(
+                members, config=CheckConfig("symbolic")
+            )
+            assert env.kernel == "fast" and kernels
+            del env
+            assert [ref() is None for ref in kernels] == [True] * len(kernels)
+        finally:
+            gc.enable()
+
+
 class TestSweepCacheKeyedOnKernel:
     def test_forced_kernel_run_never_served_the_auto_result(self, tmp_path):
+        symbolic = CheckConfig("symbolic")
+        reference = CheckConfig("symbolic", kernel="reference")
         first = sweep_environments(
-            [GROUP], jobs=1, cache_dir=tmp_path, backend="symbolic"
+            [GROUP], jobs=1, cache_dir=tmp_path, config=symbolic
         )
         assert not first[0].cached
         assert first[0].environment.kernel == "fast"   # auto -> fast
         warm = sweep_environments(
-            [GROUP], jobs=1, cache_dir=tmp_path, backend="symbolic"
+            [GROUP], jobs=1, cache_dir=tmp_path, config=symbolic
         )
         assert warm[0].cached
         forced = sweep_environments(
-            [GROUP], jobs=1, cache_dir=tmp_path,
-            backend="symbolic", kernel="reference",
+            [GROUP], jobs=1, cache_dir=tmp_path, config=reference
         )
         assert not forced[0].cached
         assert forced[0].environment.kernel == "reference"
         assert forced[0].violated_ids() == warm[0].violated_ids()
         forced_warm = sweep_environments(
-            [GROUP], jobs=1, cache_dir=tmp_path,
-            backend="symbolic", kernel="reference",
+            [GROUP], jobs=1, cache_dir=tmp_path, config=reference
         )
         assert forced_warm[0].cached
 
@@ -157,24 +188,22 @@ def h(evt) { }
 
         entries = [("Tiny", "digest0")]
         auto = submission_key(entries)
-        reference = submission_key(entries, kernel="reference")
-        fast = submission_key(entries, kernel="fast")
+        reference = submission_key(entries, CheckConfig(kernel="reference"))
+        fast = submission_key(entries, CheckConfig(kernel="fast"))
         assert len({auto, reference, fast}) == 3
 
     def test_submission_carries_and_resolves_the_kernel(self):
         from repro.service.app import SoteriaService, _parse_submission
 
-        entries, backend, encoding, kernel = _parse_submission(
+        entries, config = _parse_submission(
             {"source": self.GOOD, "backend": "symbolic", "kernel": "reference"}
         )
-        assert kernel == "reference"
+        assert config == CheckConfig("symbolic", kernel="reference")
         service = SoteriaService(jobs=1)
         try:
-            record, created = service.submit(
-                entries, backend, encoding, kernel
-            )
+            record, created = service.submit(entries, config)
             assert created
-            assert record.kernel == "reference"
+            assert record.config.kernel == "reference"
             final = service.wait(record.id, timeout=120)
             assert final.status == "done"
             assert final.resolved_kernel == "reference"
@@ -182,7 +211,7 @@ def h(evt) { }
             # Same sources, different kernel: a NEW job, never the
             # other kernel's record.
             other, other_created = service.submit(
-                entries, backend, encoding, "fast"
+                entries, CheckConfig("symbolic", kernel="fast")
             )
             assert other_created
             assert other.id != record.id

@@ -8,11 +8,14 @@ without a single miss.  Each of those is pinned here by killing the
 stage functions and watching the store counters.
 """
 
+import dataclasses
+
 import pytest
 
 from repro.corpus.loader import load_app
 from repro.pipeline import stages
 from repro.pipeline.runner import Pipeline, default_pipeline, pipeline_for
+from repro.pipeline.stages import CheckConfig
 from repro.pipeline.store import (
     PIPELINE_VERSION,
     ArtifactStore,
@@ -52,6 +55,21 @@ class TestArtifactKey:
         assert artifact_key("parse", ["d"], version="4") != artifact_key(
             "parse", ["d"], version="5"
         )
+
+    def test_check_config_key_covers_every_field(self):
+        # Every cache tier digests CheckConfig.key(): a field it left out
+        # would let differently configured checks share artifacts.  A new
+        # field fails here until it gets a changed value below.
+        base = CheckConfig()
+        changed = {
+            "backend": "symbolic",
+            "encoding": "partitioned",
+            "kernel": "reference",
+            "max_union_states": 100,
+        }
+        for field in dataclasses.fields(CheckConfig):
+            other = dataclasses.replace(base, **{field.name: changed[field.name]})
+            assert other.key() != base.key(), field.name
 
 
 class TestArtifactStore:
@@ -194,7 +212,7 @@ class TestStageReuse:
         app = load_app("App1")
         explicit = pipeline.app_analysis(app)
         before = store.counters()
-        symbolic = pipeline.app_analysis(app, backend="symbolic")
+        symbolic = pipeline.app_analysis(app, config=CheckConfig("symbolic"))
         after = store.counters()
         assert symbolic.backend == "symbolic"
         assert symbolic.violated_ids() == explicit.violated_ids()
@@ -214,7 +232,7 @@ class TestStageReuse:
         assert env.backend == "explicit"
         with pytest.raises(StateExplosionError):
             pipeline.environment_analysis(
-                list(members), backend="explicit", max_union_states=1
+                list(members), config=CheckConfig("explicit", max_union_states=1)
             )
 
     def test_member_db_provenance_keys_union_artifacts(self, tmp_path):

@@ -19,7 +19,7 @@ import urllib.request
 import pytest
 
 from repro.corpus.loader import load_source
-from repro.pipeline.stages import source_digest
+from repro.pipeline.stages import CheckConfig, source_digest
 from repro.service.app import (
     MAX_BODY_BYTES,
     SoteriaService,
@@ -126,10 +126,11 @@ class TestPolicy:
 class TestJobStore:
     @staticmethod
     def _record(source="src", name="A", backend="auto"):
-        key = submission_key([(name, source)], backend=backend)
+        config = CheckConfig(backend)
+        key = submission_key([(name, source)], config)
         return JobRecord(
             id=job_id_for(key), key=key, kind="app",
-            apps=[name], digests=[source], backend=backend,
+            apps=[name], digests=[source], config=config,
         )
 
     def test_idempotent_submit(self):
@@ -250,11 +251,13 @@ class TestServiceCore:
 
 class TestProcessPool:
     def test_worker_payload_and_result_are_picklable(self, tmp_path):
-        args = (
-            [("Bad", BAD)], "app", "auto", "auto", "auto",
-            str(tmp_path / "cache"),
+        config = CheckConfig(
+            encoding="partitioned", kernel="reference", max_union_states=64
         )
-        pickle.dumps((_analyze_in_worker, args))  # what the pool ships
+        args = ([("Bad", BAD)], "app", config, str(tmp_path / "cache"))
+        # What the pool ships, CheckConfig included, survives the trip.
+        assert pickle.loads(pickle.dumps(args)) == args
+        pickle.dumps((_analyze_in_worker, args))
         fields = _analyze_in_worker(*args)
         pickle.dumps(fields)                      # what the worker returns
         assert fields["status"] == "done"
@@ -263,8 +266,7 @@ class TestProcessPool:
 
     def test_environment_jobs_through_the_worker_body(self):
         fields = _analyze_in_worker(
-            [("Good", GOOD), ("Bad", BAD)], "environment", "auto", "auto",
-            "auto", None,
+            [("Good", GOOD), ("Bad", BAD)], "environment", CheckConfig(), None
         )
         assert fields["verdict"] == NEEDS_REVIEW
         assert {v["property_id"] for v in fields["violations"]} >= {"P.30", "P.11"}

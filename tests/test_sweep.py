@@ -14,6 +14,7 @@ from repro.corpus.sweep import (
     sweep_dataset,
     sweep_environments,
 )
+from repro.pipeline.stages import CheckConfig
 from repro.pipeline.store import ArtifactStore
 
 
@@ -148,7 +149,7 @@ class TestSweepEnvironments:
         # the group comes back failed (with the error), never raised.
         group = tuple(groundtruth.TABLE4_GROUPS[2].apps)  # G.3: 1536 states
         outcomes = sweep_environments(
-            [group], jobs=1, max_union_states=100, backend="explicit"
+            [group], jobs=1, config=CheckConfig("explicit", max_union_states=100)
         )
         assert outcomes[0].failed
         assert outcomes[0].backend is None
@@ -159,7 +160,9 @@ class TestSweepEnvironments:
         # The same group under the same tiny budget is *checked* by the
         # default auto backend — symbolically, with the same violations.
         group = tuple(groundtruth.TABLE4_GROUPS[2].apps)  # G.3: 1536 states
-        outcomes = sweep_environments([group], jobs=1, max_union_states=100)
+        outcomes = sweep_environments(
+            [group], jobs=1, config=CheckConfig(max_union_states=100)
+        )
         assert not outcomes[0].failed
         assert outcomes[0].backend == "symbolic"
         assert set(groundtruth.TABLE4_GROUPS[2].violated) <= outcomes[0].violated_ids()
@@ -183,6 +186,20 @@ class TestSweepEnvironments:
 
 
 class TestSweepCaching:
+    def test_budget_partitions_the_sweep_tier(self, tmp_path):
+        # Regression: the sweep key left out max_union_states, so a
+        # tighter budget was served the default budget's explicit run.
+        group = tuple(groundtruth.TABLE4_GROUPS[2].apps)  # G.3: 1536 states
+        default = sweep_environments([group], jobs=1, cache_dir=tmp_path)
+        assert default[0].backend == "explicit"
+        tight = sweep_environments(
+            [group], jobs=1, cache_dir=tmp_path,
+            config=CheckConfig(max_union_states=100),
+        )
+        assert not tight[0].cached
+        assert tight[0].backend == "symbolic"
+        assert tight[0].violated_ids() == default[0].violated_ids()
+
     def test_warm_sweep_served_from_sweep_cache(self, tmp_path, monkeypatch):
         from repro.corpus import batch, sweep as sweep_mod
 
@@ -229,7 +246,7 @@ class TestSweepCaching:
         try:
             outcomes = sweep_environments(
                 [group], jobs=1, cache_dir=tmp_path,
-                max_union_states=100, backend="explicit",
+                config=CheckConfig("explicit", max_union_states=100),
             )
             assert outcomes[0].failed
             assert ArtifactStore(tmp_path).entries("sweep") == []
