@@ -103,18 +103,6 @@ def fleet_bench_json():
 
 
 @pytest.fixture(scope="session")
-def portfolio_bench_json():
-    """The section writer for ``BENCH_portfolio.json``."""
-
-    def _record(section: str, payload: dict) -> None:
-        record_bench(
-            section, payload, path=_REPO_ROOT / "BENCH_portfolio.json"
-        )
-
-    return _record
-
-
-@pytest.fixture(scope="session")
 def service_bench_json():
     """The section writer for ``BENCH_service.json``."""
 

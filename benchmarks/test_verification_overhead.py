@@ -6,14 +6,11 @@ models than the large-scale ones found in other domains."
 
 Measured on the largest single-app model (O35, 180 states) with the
 explicit CTL checker and the pipeline's symbolic checker over the
-encoded model, and with SAT-based BMC on the water-leak detector (O11).
-Whether BMC beats the symbolic fixpoint there is gated by
-``benchmarks/test_portfolio.py``.
+encoded model.
 """
 
 from repro.mc import parse_ctl
 from repro.mc.explicit import ExplicitChecker
-from repro.mc.portfolio import PortfolioChecker
 from repro.mc.symbolic import SymbolicModelChecker
 from repro.model import SymbolicUnionModel, build_union_skeleton
 
@@ -46,22 +43,6 @@ def test_symbolic_ctl_verification(benchmark, official_analyses):
     holds = benchmark(run)
     print(f"\nBDD-symbolic CTL on O35: holds={holds}")
     assert holds == ExplicitChecker(analysis.kripke).check(formula).holds
-
-
-def test_bounded_model_checking(benchmark, official_analyses):
-    skeleton = build_union_skeleton([official_analyses["O11"].model])
-    formula = parse_ctl("AG !attr:valve_device.valve=closed")
-
-    def run():
-        checker = PortfolioChecker(skeleton, mode="bmc")
-        return checker.check(formula), checker.stats
-
-    result, stats = benchmark.pedantic(run, rounds=3, iterations=1)
-    print(f"\nSAT BMC on O11: holds={result.holds} (counterexample length "
-          f"{len(result.counterexample)})")
-    assert stats["bmc_violations"] == 1  # answered by BMC, not the fallback
-    assert not result.holds  # the valve *does* close — good
-    assert result.counterexample
 
 
 def test_all_properties_over_market_model(benchmark, thirdparty_analyses):

@@ -4,8 +4,7 @@
 Soteria's catalog (P.1-P.30) is a starting point; this example writes a
 household-specific property directly in CTL and verifies it with the
 engines behind the pipeline's backends — explicit CTL over the app's
-Kripke structure, BDD-symbolic CTL over the encoded state model, and the
-SAT engines (bounded model checking + IC3) on an invariant — the
+Kripke structure and BDD-symbolic CTL over the encoded state model, the
 reproduction's NuSMV replacement.
 
 Property: "whenever the garage door is open, it must be possible to reach
@@ -19,7 +18,6 @@ Run:  python examples/custom_property.py
 from repro import analyze_app
 from repro.mc import parse_ctl
 from repro.mc.explicit import ExplicitChecker
-from repro.mc.portfolio import PortfolioChecker
 from repro.mc.symbolic import SymbolicModelChecker
 from repro.model import SymbolicUnionModel, build_union_skeleton
 from repro.reporting.smv import to_smv
@@ -60,7 +58,7 @@ def main() -> None:
     explicit = ExplicitChecker(kripke).check(no_lockout)
     print(f"explicit CTL:      {'HOLDS' if explicit.holds else 'FAILS'}")
 
-    # The symbolic engines run on the app's rules, not its states: the
+    # The symbolic engine runs on the app's rules, not its states: the
     # one-app union skeleton, with the single-app fire-on-change
     # semantics (an app never stimulates itself).
     skeleton = build_union_skeleton([analysis.model])
@@ -68,23 +66,6 @@ def main() -> None:
         SymbolicUnionModel(skeleton, written=frozenset())
     ).check(no_lockout)
     print(f"BDD-symbolic CTL:  {'HOLDS' if symbolic.holds else 'FAILS'}")
-
-    # The SAT engines work on invariants; check the weaker safety shard
-    # "the door is never *driven* open while nobody is home".
-    invariant = parse_ctl(
-        'AG !("attr:presence_sensor.presence=not present" & '
-        '"act:garage_door.door=open")'
-    )
-    sat = PortfolioChecker(skeleton, mode="bmc", written=frozenset())
-    result = sat.check(invariant)
-    # BMC refutes with a counterexample trace, IC3 proves; anything they
-    # leave open goes to the BDD checker (stats say who answered).
-    print(f"SAT invariant:     {'HOLDS' if result.holds else 'FAILS'} "
-          f"(bmc violations {sat.stats['bmc_violations']}, "
-          f"ic3 proofs {sat.stats['ic3_proofs']}, "
-          f"fallbacks {sat.stats['fallbacks']})")
-    for state in result.counterexample:
-        print(f"    {state}")
 
     print("\nNuSMV export of the model (first lines):")
     for line in to_smv(analysis.model, specs=[no_lockout]).splitlines()[:12]:

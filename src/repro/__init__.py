@@ -11,8 +11,8 @@ Security Analysis"* (USENIX ATC 2018).  The pipeline (paper Fig. 3):
    (:mod:`repro.analysis`, :mod:`repro.model`);
 3. **Property identification** — general properties S.1-S.5 and
    app-specific P.1-P.30 (:mod:`repro.properties`);
-4. **Model checking** — explicit, BDD-symbolic, and SAT-bounded engines
-   over the Kripke structure (:mod:`repro.mc`); multi-app unions check
+4. **Model checking** — explicit and BDD-symbolic engines over the
+   Kripke structure (:mod:`repro.mc`); multi-app unions check
    through a backend of choice (``explicit`` | ``symbolic`` | ``auto``),
    where the symbolic backend compiles app rules straight to BDDs over
    shared attribute variables and never enumerates the product

@@ -10,7 +10,7 @@ Subcommands::
                   [--kernel K]
     soteria fuzz [--seed S] [--count N] [--jobs N] [--out DIR]
                  [--mix DATASET] [--encoding E] [--kernel K]
-                 [--backend auto|both] [--replay DIR]
+                 [--replay DIR]
     soteria fleet [--households N] [--seed S] [--jobs N] [--cache-dir D]
                   [--templates T] [--variants V] [--telemetry-out F]
                   [--blocklist-out F]
@@ -22,13 +22,9 @@ Subcommands::
 
 ``--backend`` selects the union-model checker: ``explicit`` (materialize
 the product Kripke structure), ``symbolic`` (BDD-compiled relation, no
-product enumeration), ``bmc`` (SAT engines — incremental bounded model
-checking, then an IC3/PDR proof attempt, BDD fallback only when both are
-inconclusive), ``portfolio`` (per formula a shallow BMC pass, then the
-BDD checker for whatever it did not refute — run one after the other,
-not raced), or the default ``auto``
-(explicit under the state budget, symbolic above it) — so oversized
-interaction clusters are *checked*, not skipped.
+product enumeration), or the default ``auto`` (explicit under the state
+budget, symbolic above it) — so oversized interaction clusters are
+*checked*, not skipped.
 
 ``--encoding`` selects the symbolic relation encoding: ``monolithic``
 (one fused relation BDD — fine for paper-scale clusters), ``partitioned``
@@ -52,10 +48,8 @@ exposes under ``/v1/stats``.
 ``fuzz`` synthesizes scenario apps beyond the bundled corpus
 (:mod:`repro.gen`) and differentially cross-checks the two backends on
 every generated environment; injected violations must be flagged by the
-matching property.  ``fuzz --backend both`` adds a SAT (``bmc``) pass,
-turning each case into a three-way explicit/symbolic/BMC differential.
-Failing cases are shrunk to minimal reproducers under ``--out`` and can
-be re-run with ``--replay``.
+matching property.  Failing cases are shrunk to minimal reproducers
+under ``--out`` and can be re-run with ``--replay``.
 
 ``serve`` runs the analysis-as-a-service HTTP API
 (:mod:`repro.service`): POST SmartApp sources to ``/v1/submissions``
@@ -268,8 +262,7 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
         return 1 if reproduced else 0
 
     config = FuzzConfig(
-        mix_dataset=args.mix, encoding=args.encoding, kernel=args.kernel,
-        backend=args.backend,
+        mix_dataset=args.mix, encoding=args.encoding, kernel=args.kernel
     )
     report = run_fuzz(
         seed=args.seed,
@@ -473,10 +466,8 @@ def main(argv: list[str] | None = None) -> int:
         "--backend",
         choices=list(BACKENDS),
         default="auto",
-        help="union checker: explicit Kripke, symbolic BDDs, bmc (SAT "
-        "engines with BDD fallback), portfolio (a shallow BMC pass, then "
-        "the BDD checker for what it did not refute), or auto (explicit "
-        "under the state budget, symbolic above; default)",
+        help="union checker: explicit Kripke, symbolic BDDs, or auto "
+        "(explicit under the state budget, symbolic above; default)",
     )
     p_env.add_argument(
         "--encoding",
@@ -624,15 +615,6 @@ def main(argv: list[str] | None = None) -> int:
         help="BDD kernel(s) for the symbolic passes; 'both' runs every "
         "symbolic pass on the reference AND the fast kernel — a "
         "cross-kernel differential on every case",
-    )
-    p_fuzz.add_argument(
-        "--backend",
-        choices=["auto", "both"],
-        default="auto",
-        help="checker backends to differential-test: auto keeps the "
-        "classic explicit-vs-symbolic pair; 'both' adds a SAT (bmc) "
-        "pass — a three-way explicit/symbolic/BMC differential on "
-        "every case",
     )
     p_fuzz.add_argument(
         "--replay",

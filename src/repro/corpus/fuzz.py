@@ -87,11 +87,6 @@ class FuzzConfig:
     #: reference AND the fast kernel, turning each case into a
     #: cross-kernel differential (explicit vs reference vs fast).
     kernel: str = "auto"
-    #: Checker backends differential-tested: "auto" keeps the classic
-    #: explicit-vs-symbolic pair; "both" adds a SAT (``bmc``) pass per
-    #: case, making each case a three-way explicit/symbolic/BMC
-    #: differential over violation sets and per-formula verdicts.
-    backend: str = "auto"
     gen: GenConfig = field(default_factory=GenConfig)
 
 
@@ -261,27 +256,18 @@ def _compare_runs(explicit, other, tag: str) -> str:
 def _passes(config: FuzzConfig) -> list[CheckConfig]:
     """The checks each case runs besides the explicit oracle: one
     symbolic pass per requested encoding x kernel (``"both"`` expands to
-    both concrete values), plus a ``bmc`` pass for ``backend="both"``."""
+    both concrete values)."""
     encodings = (
         ("monolithic", "partitioned")
         if config.encoding == "both"
         else (config.encoding,)
     )
     kernels = ("reference", "fast") if config.kernel == "both" else (config.kernel,)
-    passes = [
+    return [
         CheckConfig("symbolic", encoding, kernel)
         for encoding in encodings
         for kernel in kernels
     ]
-    if config.backend == "both":
-        passes.append(
-            CheckConfig(
-                "bmc",
-                config.encoding if config.encoding != "both" else "auto",
-                config.kernel if config.kernel != "both" else "auto",
-            )
-        )
-    return passes
 
 
 def _differential(
@@ -292,8 +278,7 @@ def _differential(
     The explicit checker is the oracle; every pass must match it on
     violation sets and on every per-formula verdict, so ``kernel="both"``
     cross-checks the kernels against the explicit oracle *and* against
-    each other, and ``backend="both"`` makes the case a three-way
-    explicit/symbolic/BMC differential.
+    each other.
     """
     pipeline = default_pipeline()
     explicit = pipeline.environment_analysis(
@@ -301,12 +286,9 @@ def _differential(
     )
     for check in _passes(config):
         run = pipeline.environment_analysis(list(analyses), config=check)
-        tag = (
-            "bmc"
-            if check.backend == "bmc"
-            else f"symbolic/{run.encoding}/{run.kernel}"
+        detail = _compare_runs(
+            explicit, run, f"symbolic/{run.encoding}/{run.kernel}"
         )
-        detail = _compare_runs(explicit, run, tag)
         if detail:
             return explicit.state_estimate, detail
     return explicit.state_estimate, ""
@@ -556,7 +538,6 @@ def write_reproducer(
             "mix_dataset": config.mix_dataset,
             "encoding": config.encoding,
             "kernel": config.kernel,
-            "backend": config.backend,
         },
         "app_ids": list(result.app_ids),
         "corpus_members": list(result.corpus_ids),
@@ -596,7 +577,9 @@ def replay(directory: str | os.PathLike) -> tuple[bool, str]:
     if not sources:
         return False, f"no app*.groovy files under {directory}"
 
-    knobs = ("encoding", "kernel", "backend")
+    # Older reproducers may also record a "backend" knob; they replay
+    # through the explicit/symbolic differential like any other.
+    knobs = ("encoding", "kernel")
     recorded = meta.get("config", {})
     config = FuzzConfig(**{knob: recorded.get(knob, "auto") for knob in knobs})
     try:

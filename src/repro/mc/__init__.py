@@ -1,6 +1,6 @@
 """Model-checking substrate — the reproduction's NuSMV replacement.
 
-The engines the pipeline's backends run:
+The two engines the pipeline's backends run:
 
 * :mod:`.explicit` — explicit-state CTL labelling with counterexamples
   over a :class:`repro.model.kripke.KripkeStructure` (``explicit``);
@@ -8,16 +8,9 @@ The engines the pipeline's backends run:
   union model that never enumerates the product
   (:class:`~repro.mc.symbolic.SymbolicModelChecker`, ``symbolic``), on
   the BDD kernels of :mod:`.kernel` (``reference``, :mod:`.bdd`, and
-  ``fast``, :mod:`.fastbdd`);
-* :mod:`.portfolio` — the SAT engines (``bmc`` / ``portfolio``):
-  :mod:`.cnf` compiles the union transition relation to clauses for
-  bounded unrolling on :mod:`.sat` (a from-scratch CDCL solver),
-  :mod:`.ic3` proves invariants unboundedly over that encoding, and the
-  BDD checker answers whatever they leave inconclusive — one engine
-  after the other per formula (``portfolio`` is a shallow BMC pass, then
-  the BDD checker; nothing runs concurrently),
+  ``fast``, :mod:`.fastbdd`),
 
-mirroring NuSMV's combined BDD/SAT modes that the paper relies on (Sec. 5).
+mirroring the BDD-based NuSMV checking that the paper relies on (Sec. 5).
 """
 
 from repro.mc.ctl import (
@@ -54,10 +47,6 @@ from repro.mc.kernel import (
     resolve_kernel,
 )
 from repro.mc.symbolic import SymbolicModelChecker
-from repro.mc.sat import ReferenceSolver, Solver, solve
-from repro.mc.cnf import BmcUnroller, CnfUnionSystem, invariant_shape
-from repro.mc.ic3 import IC3Prover, Verdict
-from repro.mc.portfolio import PortfolioChecker
 
 __all__ = [
     "AG",
@@ -93,13 +82,4 @@ __all__ = [
     "aggregate_kernel_stats",
     "reset_kernel_stats",
     "SymbolicModelChecker",
-    "Solver",
-    "ReferenceSolver",
-    "solve",
-    "Verdict",
-    "BmcUnroller",
-    "CnfUnionSystem",
-    "invariant_shape",
-    "IC3Prover",
-    "PortfolioChecker",
 ]

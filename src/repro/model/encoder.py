@@ -133,10 +133,10 @@ class Fragment:
 
 
 # ----------------------------------------------------------------------
-# Fragment enumeration and firing semantics, shared by every symbolic
-# backend: the BDD encodings below and the CNF unroller (repro.mc.cnf)
-# compile the *same* fragment descriptors and guard tables, which is what
-# makes their transition relations identical by construction.
+# Fragment enumeration and firing semantics, shared by both BDD
+# encodings below: they compile the *same* fragment descriptors and guard
+# tables, which is what makes their transition relations identical by
+# construction.
 # ----------------------------------------------------------------------
 def enumerate_fragments(model: StateModel):
     """All fragments of ``model``'s union rules, with their summaries.
@@ -273,7 +273,7 @@ def fire_requirements(model: StateModel, written, fragment: Fragment, summary):
     when it can never fire.
 
     The single definition of the firing semantics shared by every
-    encoding (BDD monolithic/partitioned and CNF):
+    encoding (monolithic and partitioned):
 
     * the fire-on-change condition — device events fire on attribute
       *changes*, except that app-written values re-stimulate

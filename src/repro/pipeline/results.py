@@ -52,9 +52,6 @@ class AppAnalysis:
     kernel: str | None = None
     #: The kernel's final stats() snapshot; None when explicit.
     kernel_stats: dict | None = None
-    #: Engine-usage counters of the SAT/BDD portfolio (``bmc`` and
-    #: ``portfolio`` backends only; None elsewhere).
-    portfolio: dict | None = None
     #: The numeric-abstraction knob the model stage ran with.
     abstract_numeric: bool = True
     #: Token of the capability database the analysis ran under
@@ -96,9 +93,6 @@ class EnvironmentAnalysis:
     kernel: str | None = None
     #: The kernel's final stats() snapshot; None when explicit.
     kernel_stats: dict | None = None
-    #: Engine-usage counters of the SAT/BDD portfolio (``bmc`` and
-    #: ``portfolio`` backends only; None elsewhere).
-    portfolio: dict | None = None
 
     def multi_app_violations(self) -> list[Violation]:
         """Violations involving two or more apps (the Table 4 kind)."""

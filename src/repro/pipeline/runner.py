@@ -218,7 +218,6 @@ class Pipeline:
             encoding=outcome.encoding,
             kernel=outcome.kernel,
             kernel_stats=outcome.kernel_stats,
-            portfolio=outcome.portfolio,
             abstract_numeric=abstract_numeric,
             db_token=db_tok,
         )
@@ -335,7 +334,6 @@ class Pipeline:
             encoding=outcome.encoding,
             kernel=outcome.kernel,
             kernel_stats=outcome.kernel_stats,
-            portfolio=outcome.portfolio,
         )
 
 

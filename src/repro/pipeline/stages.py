@@ -60,11 +60,8 @@ from repro.properties.roles import device_roles, merge_roles
 #: the old budget used to reject.
 AUTO_SYMBOLIC_THRESHOLD = 10_000
 
-#: Recognized checker backends.  ``bmc`` answers with the SAT engines
-#: (bounded refutation, then IC3 proof) before falling back to BDDs;
-#: ``portfolio`` runs a shallow BMC pass first and hands every formula it
-#: cannot refute to the BDD checker (sequentially, not as a race).
-BACKENDS = ("auto", "explicit", "symbolic", "bmc", "portfolio")
+#: Recognized checker backends.
+BACKENDS = ("auto", "explicit", "symbolic")
 
 
 @dataclass(frozen=True)
@@ -73,7 +70,7 @@ class CheckConfig:
 
     ``backend`` is one of :data:`BACKENDS`; ``encoding`` (the symbolic
     relation encoding) and ``kernel`` (the BDD kernel) are consulted by
-    every non-explicit backend; ``max_union_states`` is the explicit
+    the symbolic backend; ``max_union_states`` is the explicit
     budget: ``auto`` goes symbolic past it (default
     :data:`AUTO_SYMBOLIC_THRESHOLD`), and a forced ``explicit`` union
     raises past it.  Frozen and picklable, so it ships to worker
@@ -207,9 +204,6 @@ class CheckOutcome:
     #: The kernel's final stats() snapshot (observability; None on the
     #: explicit backend).
     kernel_stats: dict | None = None
-    #: Engine-usage counters of the SAT/BDD portfolio (``bmc`` and
-    #: ``portfolio`` backends only; None elsewhere).
-    portfolio: dict | None = None
 
 
 # ======================================================================
@@ -286,9 +280,9 @@ def run_app_check(
         # single-app fire-on-change semantics (no self-stimulation).
         skeleton = build_union_skeleton([model], db=db)
         checker = _checker(skeleton, None, config, written=frozenset())
-        # DET is defined on materialized transitions, which these
-        # backends never build — record the gap instead of silently
-        # omitting it.
+        # DET is defined on materialized transitions, which the
+        # symbolic backend never builds — record the gap instead of
+        # silently omitting it.
         outcome.skipped_properties.append("DET")
     check_app_specific(outcome, [ir], model, checker, catalog)
     _finish_check(outcome, checker, config)
@@ -322,16 +316,6 @@ def _checker(
     in :class:`~repro.model.encoder.SymbolicUnionModel`)."""
     if config.backend == "explicit":
         return ExplicitChecker(kripke)
-    if config.backend in ("bmc", "portfolio"):
-        from repro.mc.portfolio import PortfolioChecker
-
-        return PortfolioChecker(
-            model,
-            mode=config.backend,
-            written=written,
-            encoding=config.encoding,
-            kernel=config.kernel,
-        )
     from repro.mc.symbolic import SymbolicModelChecker
     from repro.model.encoder import SymbolicUnionModel
 
@@ -343,24 +327,14 @@ def _checker(
 
 
 def _finish_check(outcome: CheckOutcome, checker, config: CheckConfig) -> None:
-    """Harvest backend observability after the property pass.
-
-    The portfolio backends resolve their BDD knobs only if some formula
-    actually fell back, so their encoding/kernel fields stay None on an
-    all-SAT run — the stats dict records which engines answered.
-    """
+    """Harvest backend observability after the property pass."""
     if config.backend == "explicit":
         return
-    if config.backend in ("bmc", "portfolio"):
-        outcome.portfolio = dict(checker.stats)
-        symbolic = checker.symbolic_model
-    else:
-        symbolic = checker.symbolic
-    if symbolic is not None:
-        outcome.encoding = symbolic.encoding
-        outcome.kernel = symbolic.kernel
-        outcome.kernel_stats = symbolic.bdd.stats()
-        record_kernel_stats(outcome.kernel_stats)
+    symbolic = checker.symbolic
+    outcome.encoding = symbolic.encoding
+    outcome.kernel = symbolic.kernel
+    outcome.kernel_stats = symbolic.bdd.stats()
+    record_kernel_stats(outcome.kernel_stats)
 
 
 # ======================================================================

@@ -24,8 +24,7 @@ Endpoints (all JSON)::
     {"sources": [{"name": "A", "source": "..."}, ...],
      "backend": "auto", "encoding": "auto", "kernel": "auto"}
 
-``backend`` accepts every pipeline backend, including the SAT/BDD
-portfolio pair ``bmc``/``portfolio`` (see ``soteria env --help``).
+``backend`` accepts every pipeline backend (see ``soteria env --help``).
 
 and answers 201 for a new job, 200 for an identical resubmission — same
 tenant + same sources + same knobs map to the same

@@ -126,6 +126,19 @@ def job_id_for(key: str) -> str:
     return f"job-{key[:16]}"
 
 
+def _mirror_updated_at(path: Path, data: object) -> float:
+    """When a mirror file's record last changed: its raw ``updated_at``,
+    or the file's mtime when the JSON does not parse or lacks one (a
+    file that vanished meanwhile never counts as expired)."""
+    stamp = data.get("updated_at") if isinstance(data, dict) else None
+    if isinstance(stamp, (int, float)):
+        return stamp
+    try:
+        return path.stat().st_mtime
+    except OSError:
+        return float("inf")
+
+
 class JobStore:
     """Thread-safe job registry, optionally mirrored to JSON on disk.
 
@@ -307,21 +320,26 @@ class JobStore:
         for path in sorted(directory.glob("*.json")):
             try:
                 data = json.loads(path.read_text())
-                data["config"] = CheckConfig(**data["config"])
-                record = JobRecord(**data)
             except Exception:
-                continue  # torn/stale file: skip, do not crash startup
-            if cutoff is not None and record.updated_at < cutoff:
+                data = None
+            if cutoff is not None and _mirror_updated_at(path, data) < cutoff:
                 # Startup prune: an expired mirror file is deleted, not
-                # reloaded — the durable store shrinks on disk.  (Stale
-                # queued/running records from the dead process expire
-                # too; no worker owns them anymore.)
+                # reloaded — the durable store shrinks on disk.  Expiry
+                # is decided before the record is rebuilt, so a torn
+                # file or one in a shape this version cannot load is
+                # reaped too.  (Stale queued/running records from the
+                # dead process expire as well; no worker owns them.)
                 try:
                     path.unlink(missing_ok=True)
                 except OSError:
                     pass
                 self.expired_total += 1
                 continue
+            try:
+                data["config"] = CheckConfig(**data["config"])
+                record = JobRecord(**data)
+            except Exception:
+                continue  # torn/stale file: skip, do not crash startup
             if record.status in ("queued", "running"):
                 # The process died before/while analyzing; no worker owns
                 # the record anymore, so surface it as failed —

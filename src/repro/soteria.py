@@ -14,14 +14,6 @@ model checking on the union through interchangeable backends:
   variables (:mod:`repro.model.encoder`) and check with
   :class:`repro.mc.symbolic.SymbolicModelChecker`, never enumerating the
   product;
-* ``bmc`` — answer with the SAT engines first: incremental bounded model
-  checking over the same fragment semantics compiled to clauses
-  (:mod:`repro.mc.cnf`), an IC3/PDR proof attempt for properties BMC
-  cannot refute (:mod:`repro.mc.ic3`), and the BDD checker only when
-  both are inconclusive;
-* ``portfolio`` — per formula, a shallow BMC pass first and the BDD
-  checker for whatever it cannot refute, one after the other
-  (:class:`repro.mc.portfolio.PortfolioChecker`);
 * ``auto`` (default) — explicit while the domain-product estimate fits
   the budget (small models check faster explicitly and keep the Kripke
   structure around for callers), symbolic beyond it.
@@ -122,10 +114,10 @@ def analyze_environment(
     Raw members are analyzed with the same ``backend``/``encoding``/
     ``kernel``/``db``/``catalog`` as the environment itself.
 
-    ``backend`` selects the union checker: ``"explicit"``, ``"symbolic"``,
-    ``"bmc"``/``"portfolio"`` (the SAT/BDD portfolio — see the module
-    docstring), or ``"auto"`` (the default — explicit under the state
-    budget, symbolic above it; see :meth:`CheckConfig.resolve`).
+    ``backend`` selects the union checker: ``"explicit"``, ``"symbolic"``
+    (see the module docstring), or ``"auto"`` (the default — explicit
+    under the state budget, symbolic above it; see
+    :meth:`CheckConfig.resolve`).
     ``max_union_states`` caps the *explicit* union's state count
     (default: the :func:`repro.model.build_union_model` budget);
     crossing it with ``backend="explicit"`` raises

@@ -93,15 +93,19 @@ class TestSingleAppSymbolic:
         ("knob", "value", "message"),
         [
             ("backend", "quantum", "unknown backend 'quantum'; expected one "
-             "of auto, explicit, symbolic, bmc, portfolio"),
+             "of auto, explicit, symbolic"),
+            ("backend", "bmc", "unknown backend 'bmc'; expected one "
+             "of auto, explicit, symbolic"),
+            ("backend", "portfolio", "unknown backend 'portfolio'; expected "
+             "one of auto, explicit, symbolic"),
             ("encoding", "fused", "unknown encoding 'fused'; expected one "
              "of auto, monolithic, partitioned"),
             ("kernel", "zdd", "unknown kernel 'zdd': expected one of auto, "
              "reference, fast"),
         ],
-        ids=["backend", "encoding", "kernel"],
+        ids=["backend", "backend-bmc", "backend-portfolio", "encoding", "kernel"],
     )
-    def test_unknown_knob_rejected(self, knob, value, message):
+    def test_unknown_knob_rejected(self, knob, value, message, capsys):
         # CheckConfig validates on construction, so the facade and every
         # driver built on it reject a misspelled knob the same way.
         with pytest.raises(ValueError) as config_error:
@@ -109,6 +113,11 @@ class TestSingleAppSymbolic:
         with pytest.raises(ValueError) as facade_error:
             analyze_app(_wide_app(2), **{knob: value})
         assert str(config_error.value) == str(facade_error.value) == message
+        # The CLI flag's choices reject it as a usage error (exit 2).
+        with pytest.raises(SystemExit) as cli_exit:
+            main(["env", "a.groovy", "b.groovy", f"--{knob}", value])
+        assert cli_exit.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
 
     def test_report_names_the_backend_and_exports_are_guarded(
         self, tmp_path, capsys

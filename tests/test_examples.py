@@ -26,5 +26,4 @@ def test_custom_property(capsys):
     out = _run("custom_property.py", capsys)
     assert "explicit CTL:      HOLDS" in out
     assert "BDD-symbolic CTL:  HOLDS" in out
-    assert "SAT invariant:     HOLDS" in out
     assert "MODULE main" in out  # the NuSMV export

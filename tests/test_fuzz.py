@@ -109,6 +109,13 @@ class TestReproducers:
         reproduced, message = replay(directory)
         assert not reproduced
         assert "did not reproduce" in message
+        # Older reproducers may also record a "backend" knob; replay
+        # runs the same explicit/symbolic differential over them.
+        meta_path = directory / "meta.json"
+        meta = json.loads(meta_path.read_text())
+        meta["config"]["backend"] = "both"
+        meta_path.write_text(json.dumps(meta))
+        assert replay(directory) == (reproduced, message)
 
     def test_replay_empty_directory(self, tmp_path):
         reproduced, message = replay(tmp_path)

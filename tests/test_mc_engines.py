@@ -1,12 +1,11 @@
 """Model-checking engines: explicit CTL semantics + engine agreement.
 
 The explicit checker is validated against hand-computed semantics on
-small structures; the symbolic (BDD) checker and the SAT portfolio are
-cross-validated against it on the union models of randomly generated
-apps (hypothesis), which is how the reproduction earns trust in its
-NuSMV substitute.  The paper's own environments are cross-checked by the
-differential suites (``test_backends_differential.py``,
-``test_portfolio_backend.py``).
+small structures; the symbolic (BDD) checker is cross-validated against
+it on the union models of randomly generated apps (hypothesis), which is
+how the reproduction earns trust in its NuSMV substitute.  The paper's
+own environments are cross-checked by the differential suite
+(``test_backends_differential.py``).
 """
 
 import random
@@ -17,9 +16,7 @@ from hypothesis import given, settings, strategies as st
 from repro.gen import generate_app
 from repro.ir import build_ir
 from repro.mc import check, ctl, parse_ctl
-from repro.mc.cnf import invariant_shape
 from repro.mc.explicit import ExplicitChecker
-from repro.mc.portfolio import PortfolioChecker
 from repro.mc.symbolic import SymbolicModelChecker
 from repro.model import (
     SymbolicUnionModel,
@@ -193,10 +190,6 @@ def _random_union(seed: int):
     return build_union_skeleton([model]), kripke, ctl.Prop(p), ctl.Prop(q)
 
 
-def _node(state):
-    return (state.state, frozenset(state.incoming))
-
-
 @settings(max_examples=25, deadline=None)
 @given(st.integers(min_value=0, max_value=10_000))
 def test_symbolic_agrees_with_explicit(seed):
@@ -208,46 +201,3 @@ def test_symbolic_agrees_with_explicit(seed):
         assert symbolic.check(formula).holds == explicit.check(formula).holds, (
             text, p.name, q.name,
         )
-
-
-@settings(max_examples=10, deadline=None)
-@given(st.integers(min_value=0, max_value=10_000))
-def test_bmc_agrees_with_explicit_on_invariants(seed):
-    skeleton, kripke, p, q = _random_union(seed)
-    explicit = ExplicitChecker(kripke)
-    bounded = PortfolioChecker(skeleton, mode="bmc")
-    nodes = {_node(state) for state in kripke.states}
-    initial = {_node(state) for state in kripke.initial}
-    edges = {
-        (_node(src), _node(dst))
-        for src, dsts in kripke.succ.items()
-        for dst in dsts
-    }
-    for formula in (
-        ctl.AG(p),
-        ctl.AG(ctl.Not(q)),
-        ctl.AG(ctl.Or(p, ctl.Not(q))),
-        ctl.AG(ctl.Not(ctl.And(p, q))),
-    ):
-        expected = explicit.check(formula).holds
-        result = bounded.check(formula)
-        assert result.holds == expected, (str(formula), seed)
-        if not result.holds:
-            trace = result.counterexample
-            assert _node(trace[0]) in initial
-            for src, dst in zip(trace, trace[1:]):
-                assert (_node(src), _node(dst)) in edges
-            assert all(_node(state) in nodes for state in trace)
-    # Propositional invariants never need the BDD fallback.
-    assert bounded.stats["fallbacks"] == 0
-
-
-def test_bmc_rejects_non_invariants():
-    skeleton, kripke, p, _q = _random_union(0)
-    formula = ctl.EF(p)
-    assert invariant_shape(formula) is None
-    bounded = PortfolioChecker(skeleton, mode="bmc")
-    result = bounded.check(formula)
-    assert bounded.stats["unsupported"] == 1
-    assert bounded.stats["bmc_queries"] == 0
-    assert result.holds == ExplicitChecker(kripke).check(formula).holds

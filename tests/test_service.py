@@ -455,10 +455,11 @@ class TestServiceHttp:
         status, body = _post(server, "/v1/submissions", {"nonsense": 1})
         assert status == 400
         assert "source" in body["error"]
-        status, body = _post(
-            server, "/v1/submissions", {"source": GOOD, "backend": "quantum"}
-        )
-        assert status == 400
+        for backend in ("quantum", "portfolio"):
+            status, body = _post(
+                server, "/v1/submissions", {"source": GOOD, "backend": backend}
+            )
+            assert status == 400
         status, body = _post(server, "/v1/submissions", {"sources": []})
         assert status == 400
         status, _body = _get(server, "/v1/unknown")
@@ -530,6 +531,7 @@ class TestFleetViews:
         assert _post(server, "/v1/fleet", {"households": 10**9})[0] == 400
         assert _post(server, "/v1/fleet", {"corpus_weight": 1.5})[0] == 400
         assert _post(server, "/v1/fleet", {"backend": "quantum"})[0] == 400
+        assert _post(server, "/v1/fleet", {"backend": "portfolio"})[0] == 400
         # Bad requests publish nothing.
         assert _get(server, "/v1/fleet")[0] == 404
 

@@ -19,11 +19,13 @@ The regression anchors for PR 10's production bugs:
 import http.client
 import inspect
 import json
+import os
 import socket
 import threading
 import time
 import urllib.error
 import urllib.request
+from dataclasses import asdict
 from types import SimpleNamespace
 
 import pytest
@@ -632,6 +634,31 @@ class TestJobTtlGc:
         # A resubmission after GC is a FRESH job.
         _record, created = reborn.submit(self._record("Done"))
         assert created
+
+    def test_startup_prunes_expired_mirrors_it_cannot_load(self, tmp_path):
+        jobs_dir = tmp_path / "jobs"
+        jobs_dir.mkdir()
+        legacy = asdict(self._record("Legacy", status="done", updated_at=0))
+        knobs = legacy.pop("config")  # the top-level knob shape
+        legacy.update(backend=knobs["backend"], encoding=knobs["encoding"],
+                      kernel=knobs["kernel"])
+        retired = asdict(self._record("Retired", status="done", updated_at=0))
+        retired["config"]["backend"] = "portfolio"  # not a backend
+        for name, data in (("legacy", legacy), ("retired", retired)):
+            (jobs_dir / f"{name}.json").write_text(json.dumps(data))
+        # Torn files have no readable updated_at: they age by mtime.
+        stale = jobs_dir / "stale.json"
+        stale.write_text('{"id": "job-torn", "upd')
+        os.utime(stale, (0, 0))
+        fresh = jobs_dir / "fresh.json"
+        fresh.write_text('{"id": "job-torn", "upd')
+
+        reborn = JobStore(tmp_path, ttl=60)
+        # Every expired file is reaped whether or not it loads; the
+        # unexpired torn one is skipped, and startup survives them all.
+        assert list(jobs_dir.glob("*.json")) == [fresh]
+        assert reborn.expired_total == 3
+        assert reborn.counts()["total"] == 0
 
     def test_service_resubmission_after_gc_reruns_cleanly(
         self, instant_analysis, tmp_path
