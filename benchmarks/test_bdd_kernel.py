@@ -2,7 +2,7 @@
 manager on the heaviest symbolic workload in the repo.
 
 The workload is the all-corpus union check (82 apps, ~2^115 domain
-product, partitioned relation encoding) — the same run ``soteria sweep
+product, partitioned relation) — the same run ``soteria sweep
 all --all-corpus --backend symbolic`` performs.  Both kernels check the
 *same* cached union skeleton, so the measured difference is pure BDD
 engine time: the fast kernel's flat (level, low, high) arrays,
@@ -38,7 +38,6 @@ def _timed_check(members, kernel):
     environment = analyze_environment(
         list(members),
         backend="symbolic",
-        encoding="partitioned",
         kernel=kernel,
     )
     elapsed = time.perf_counter() - start

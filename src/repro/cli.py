@@ -3,13 +3,12 @@
 Subcommands::
 
     soteria analyze app.groovy [--dot out.dot] [--smv out.smv]
-    soteria env app1.groovy ... [--backend B] [--encoding E] [--kernel K]
+    soteria env app1.groovy ... [--backend B] [--kernel K]
     soteria corpus [official|thirdparty|maliot|all] [--jobs N] [--cache-dir D]
     soteria sweep [official|thirdparty|maliot|all] [--jobs N] [--cache-dir D]
-                  [--pairs] [--all-corpus] [--backend B] [--encoding E]
-                  [--kernel K]
+                  [--pairs] [--all-corpus] [--backend B] [--kernel K]
     soteria fuzz [--seed S] [--count N] [--jobs N] [--out DIR]
-                 [--mix DATASET] [--encoding E] [--kernel K]
+                 [--mix DATASET] [--kernel K]
                  [--replay DIR]
     soteria fleet [--households N] [--seed S] [--jobs N] [--cache-dir D]
                   [--templates T] [--variants V] [--telemetry-out F]
@@ -26,14 +25,12 @@ product enumeration), or the default ``auto`` (explicit under the state
 budget, symbolic above it) — so oversized interaction clusters are
 *checked*, not skipped.
 
-``--encoding`` selects the symbolic relation encoding: ``monolithic``
-(one fused relation BDD — fine for paper-scale clusters), ``partitioned``
-(disjunctive fragment partition with early quantification — scales to
-arbitrarily wide unions), or the default ``auto`` (partitioned above a
-fragment-count threshold).  ``sweep --all-corpus`` runs the extreme case:
-one union environment containing *every* app of the dataset (the full
-82-app corpus for ``all``, ~2^115 product states), checked symbolically
-end to end.
+The symbolic checker keeps the relation as a disjunctive fragment
+partition with early quantification, which scales to arbitrarily wide
+unions.  ``sweep --all-corpus`` runs the extreme case: one union
+environment containing *every* app of the dataset (the full 82-app
+corpus for ``all``, ~2^115 product states), checked symbolically end to
+end.
 
 ``--kernel`` selects the BDD kernel the symbolic checker runs on:
 ``fast`` (the array-backed core — the default behind ``auto``),
@@ -90,7 +87,6 @@ import argparse
 import sys
 
 from repro.mc.kernel import KERNEL_CHOICES, aggregate_kernel_stats
-from repro.model.encoder import ENCODINGS
 from repro.pipeline.stages import BACKENDS, CheckConfig
 from repro.service.app import (
     DEFAULT_TENANT_QUOTA as TENANT_QUOTA_DEFAULT,
@@ -164,7 +160,6 @@ def _cmd_env(args: argparse.Namespace) -> int:
     environment = analyze_environment(
         sources,
         backend=args.backend,
-        encoding=args.encoding,
         kernel=args.kernel,
     )
     print(render_report(environment))
@@ -207,7 +202,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         jobs=args.jobs,
         cache_dir=args.cache_dir,
         pairwise=args.pairs,
-        config=CheckConfig(args.backend, args.encoding, args.kernel, budget),
+        config=CheckConfig(args.backend, args.kernel, budget),
         all_corpus=args.all_corpus,
     )
     kind = "pair" if args.pairs else "group"
@@ -261,9 +256,7 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
         print(message)
         return 1 if reproduced else 0
 
-    config = FuzzConfig(
-        mix_dataset=args.mix, encoding=args.encoding, kernel=args.kernel
-    )
+    config = FuzzConfig(mix_dataset=args.mix, kernel=args.kernel)
     report = run_fuzz(
         seed=args.seed,
         count=args.count,
@@ -313,7 +306,6 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
         jobs=args.jobs,
         cache_dir=args.cache_dir,
         backend=args.backend,
-        encoding=args.encoding,
         kernel=args.kernel,
         **({} if args.max_states is None else {"max_union_states": args.max_states}),
     )
@@ -470,16 +462,6 @@ def main(argv: list[str] | None = None) -> int:
         "(explicit under the state budget, symbolic above; default)",
     )
     p_env.add_argument(
-        "--encoding",
-        choices=list(ENCODINGS),
-        default="auto",
-        help="symbolic relation encoding: one fused relation BDD "
-        "(monolithic), a disjunctive fragment partition with early "
-        "quantification (partitioned; scales to arbitrarily wide "
-        "unions), or auto (partitioned above a fragment-count "
-        "threshold; default)",
-    )
-    p_env.add_argument(
         "--kernel",
         choices=list(KERNEL_CHOICES),
         default="auto",
@@ -539,7 +521,7 @@ def main(argv: list[str] | None = None) -> int:
         action="store_true",
         help="check ONE union environment containing every app of the "
         "dataset (the paper's whole-deployment scenario at corpus "
-        "scale; rides the symbolic backend's partitioned encoding)",
+        "scale; rides the symbolic backend's partitioned relation)",
     )
     p_sweep.add_argument(
         "--max-states",
@@ -554,13 +536,6 @@ def main(argv: list[str] | None = None) -> int:
         choices=list(BACKENDS),
         default="auto",
         help="union checker (see `soteria env --help`)",
-    )
-    p_sweep.add_argument(
-        "--encoding",
-        choices=list(ENCODINGS),
-        default="auto",
-        help="symbolic relation encoding (see `soteria env --help`); "
-        "auto partitions wide unions — required for --all-corpus scale",
     )
     p_sweep.add_argument(
         "--kernel",
@@ -599,14 +574,6 @@ def main(argv: list[str] | None = None) -> int:
         choices=["official", "thirdparty", "maliot"],
         help="mix synthetic apps into this corpus dataset's device "
         "neighborhoods (cross-dataset clusters)",
-    )
-    p_fuzz.add_argument(
-        "--encoding",
-        choices=[*ENCODINGS, "both"],
-        default="auto",
-        help="symbolic encoding(s) to differential-test against the "
-        "explicit oracle; 'both' cross-checks monolithic AND "
-        "partitioned on every case",
     )
     p_fuzz.add_argument(
         "--kernel",
@@ -688,12 +655,6 @@ def main(argv: list[str] | None = None) -> int:
         choices=list(BACKENDS),
         default="auto",
         help="union checker (see `soteria env --help`)",
-    )
-    p_fleet.add_argument(
-        "--encoding",
-        choices=list(ENCODINGS),
-        default="auto",
-        help="symbolic relation encoding (see `soteria env --help`)",
     )
     p_fleet.add_argument(
         "--kernel",

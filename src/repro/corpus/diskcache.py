@@ -6,7 +6,7 @@ stages (``analysis``, ``sweep``, ``shape``, ``fleet``); see
 only turns a canonical household key (:func:`repro.fleet.canon.household_key`)
 plus the :class:`~repro.pipeline.stages.CheckConfig` key of a screen into
 a ``fleet`` artifact key, so isomorphic households share one entry and a
-screen with a forced ``--backend``/``--encoding``/``--kernel`` or another
+screen with a forced ``--backend``/``--kernel`` or another
 budget is never served a verdict a differently configured screen
 produced.
 

@@ -13,9 +13,8 @@ the driver
 
 1. parses and analyzes every member through the full pipeline,
 2. checks the environment on **both** backends — and, with
-   ``encoding="both"``, on both symbolic relation encodings (monolithic
-   and partitioned), a three-way differential — comparing violation
-   sets and per-formula verdicts (the differential oracle),
+   ``kernel="both"``, on both BDD kernels — comparing violation sets and
+   per-formula verdicts (the differential oracle),
 3. asserts every injected violation is flagged by its matching property
    (the metamorphic oracle), and
 4. on failure, shrinks the input to a minimal reproducer
@@ -26,8 +25,8 @@ seed; worker processes only change wall-clock time, never verdicts.
 
 Analyses run through the staged pipeline (:mod:`repro.pipeline`) behind
 the :mod:`repro.soteria` facades: within one case the explicit and
-symbolic runs share every per-app parse/ir/model artifact, and the two
-symbolic encodings of a three-way differential share the union skeleton
+symbolic runs share every per-app parse/ir/model artifact, and the
+symbolic passes of a cross-kernel differential share the union skeleton
 — the campaign re-derives nothing a differential sibling already built.
 """
 
@@ -77,11 +76,6 @@ class FuzzConfig:
     mix_dataset: str | None = None
     #: Shrink failing cases to minimal reproducers.
     shrink: bool = True
-    #: Symbolic relation encoding(s) differential-tested against the
-    #: explicit oracle: "auto" | "monolithic" | "partitioned" run one
-    #: symbolic pass with that encoding; "both" cross-checks monolithic
-    #: AND partitioned on every case (the three-way differential).
-    encoding: str = "auto"
     #: BDD kernel(s) the symbolic passes run on: "auto" | "reference" |
     #: "fast" pick one kernel; "both" runs every symbolic pass on the
     #: reference AND the fast kernel, turning each case into a
@@ -255,19 +249,10 @@ def _compare_runs(explicit, other, tag: str) -> str:
 
 def _passes(config: FuzzConfig) -> list[CheckConfig]:
     """The checks each case runs besides the explicit oracle: one
-    symbolic pass per requested encoding x kernel (``"both"`` expands to
-    both concrete values)."""
-    encodings = (
-        ("monolithic", "partitioned")
-        if config.encoding == "both"
-        else (config.encoding,)
-    )
+    symbolic pass per requested kernel (``"both"`` expands to both
+    concrete kernels)."""
     kernels = ("reference", "fast") if config.kernel == "both" else (config.kernel,)
-    return [
-        CheckConfig("symbolic", encoding, kernel)
-        for encoding in encodings
-        for kernel in kernels
-    ]
+    return [CheckConfig("symbolic", kernel) for kernel in kernels]
 
 
 def _differential(
@@ -286,9 +271,7 @@ def _differential(
     )
     for check in _passes(config):
         run = pipeline.environment_analysis(list(analyses), config=check)
-        detail = _compare_runs(
-            explicit, run, f"symbolic/{run.encoding}/{run.kernel}"
-        )
+        detail = _compare_runs(explicit, run, f"symbolic/{run.kernel}")
         if detail:
             return explicit.state_estimate, detail
     return explicit.state_estimate, ""
@@ -536,7 +519,6 @@ def write_reproducer(
             "count": config.count,
             "cluster_rate": config.cluster_rate,
             "mix_dataset": config.mix_dataset,
-            "encoding": config.encoding,
             "kernel": config.kernel,
         },
         "app_ids": list(result.app_ids),
@@ -577,11 +559,10 @@ def replay(directory: str | os.PathLike) -> tuple[bool, str]:
     if not sources:
         return False, f"no app*.groovy files under {directory}"
 
-    # Older reproducers may also record a "backend" knob; they replay
-    # through the explicit/symbolic differential like any other.
-    knobs = ("encoding", "kernel")
-    recorded = meta.get("config", {})
-    config = FuzzConfig(**{knob: recorded.get(knob, "auto") for knob in knobs})
+    # Older reproducers may also record "backend" or "encoding" knobs;
+    # they replay through the explicit/symbolic differential like any
+    # other.
+    config = FuzzConfig(kernel=meta.get("config", {}).get("kernel", "auto"))
     try:
         analyses = [analyze_app(source) for source in sources]
     except Exception as exc:

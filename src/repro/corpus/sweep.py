@@ -261,7 +261,7 @@ def union_outcome(
 
     Runs through the staged pipeline over ``cache_dir`` when given: the
     union/check artifacts persist per stage, so a re-sweep with different
-    knobs (a new catalog, a forced encoding) replays the member models
+    knobs (a new catalog, a forced kernel) replays the member models
     and the union skeleton from the store.
 
     Public because it is the shared per-environment check unit: the
@@ -311,9 +311,8 @@ def sweep_environments(
     oversized clusters are no longer skipped.  Forcing
     ``backend="explicit"`` restores the old budget behavior: groups
     beyond it come back as failed outcomes carrying the explosion error.
-    ``config.encoding`` selects the symbolic relation encoding (``auto``
-    | ``monolithic`` | ``partitioned``); ``auto`` partitions wide unions,
-    which is what lets the all-corpus 82-app union check end to end.
+    The symbolic backend's partitioned relation is what lets the
+    all-corpus 82-app union check end to end.
 
     With a ``cache_dir``, finished environment analyses are also stored
     sweep-level, keyed on the sorted member source digests + pipeline
@@ -408,7 +407,7 @@ def sweep_dataset(
     corpus apps for ``"all"``), regardless of device sharing.  Its domain
     product is astronomically beyond any explicit budget (~2^115 states
     for the full corpus), so it rides the symbolic backend's partitioned
-    encoding end to end — no skip, no state-budget bailout.
+    relation end to end — no skip, no state-budget bailout.
     """
     if all_corpus:
         groups: list[Sequence[str]] = [tuple(_universe(dataset))]

@@ -2,7 +2,7 @@
 
 Implements the classic Bryant construction: a unique table guaranteeing
 canonicity, ``ite`` as the universal connective with memoisation,
-existential quantification, variable renaming, and satisfying-assignment
+existential quantification, restriction, and satisfying-assignment
 counting.  This was the substrate for the symbolic CTL checker
 (:mod:`repro.mc.symbolic`) — the reproduction's analogue of NuSMV's BDD
 engine — and is now the *reference kernel* of the pluggable-kernel layer
@@ -192,32 +192,6 @@ class BDD(KernelBase):
             | {node.level}
         )
         self._support_cache[f] = result
-        return result
-
-    def rename(self, f: int, mapping: dict[str, str]) -> int:
-        """Substitute variables (e.g. next-state x' -> x).
-
-        Implemented by composition: safe for arbitrary mappings, including
-        non-order-preserving ones.
-        """
-        level_map = {
-            self._var_ids[old]: self._var_ids[new] for old, new in mapping.items()
-        }
-        return self._rename(f, level_map, {})
-
-    def _rename(self, f: int, level_map: dict[int, int], cache: dict[int, int]) -> int:
-        if f in (self.TRUE, self.FALSE):
-            return f
-        cached = cache.get(f)
-        if cached is not None:
-            return cached
-        node = self._nodes[f]
-        low = self._rename(node.low, level_map, cache)
-        high = self._rename(node.high, level_map, cache)
-        target = level_map.get(node.level, node.level)
-        variable = self._mk(target, self.FALSE, self.TRUE)
-        result = self.ite(variable, high, low)
-        cache[f] = result
         return result
 
     def restrict(self, f: int, assignment: dict[str, bool]) -> int:

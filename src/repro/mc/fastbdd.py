@@ -19,7 +19,7 @@ for CPython throughput instead of readability:
   than pushing, popping and re-decoding a packed-int stack frame, and
   the depth is bounded by the variable count (each call descends at
   least one level), as in the reference kernel.  ``not``/``ite``,
-  quantification, renaming, restriction and counting run as iterative
+  quantification, restriction and counting run as iterative
   explicit-stack loops whose frames are packed ints too.
 * :meth:`and_exists_list` keeps the exact greedy early-quantification
   schedule of the base class but runs it on integer bitmask supports.
@@ -1048,106 +1048,6 @@ class FastKernel(KernelBase):
         )
         self._support_cache[f] = result
         return result
-
-    def rename(self, f: int, mapping: dict[str, str]) -> int:
-        """Substitute variables (e.g. next-state x' -> x).
-
-        An order-preserving substitution (every support level maps
-        strictly below the next — the encoder's y'->x case) is a single
-        bottom-up rebuild; anything else falls back to the reference
-        kernel's safe-for-arbitrary-mappings ite composition.
-        """
-        var_ids = self._var_ids
-        level_map = {var_ids[old]: var_ids[new] for old, new in mapping.items()}
-        if f < 2 or not level_map:
-            return f
-        support = sorted(self._support_levels(f))
-        mapped = [level_map.get(lv, lv) for lv in support]
-        if all(mapped[i] < mapped[i + 1] for i in range(len(mapped) - 1)):
-            return self._rename_monotone(f, level_map)
-        return self._rename_compose(f, level_map)
-
-    def _rename_monotone(self, f: int, level_map: dict[int, int]) -> int:
-        level = self._level
-        low = self._low
-        high = self._high
-        unique = self._unique
-        created = 0
-        cache: dict[int, int] = {}
-        stack = [f]
-        push = stack.append
-        while stack:
-            frame = stack.pop()
-            if frame < _READY1:
-                if frame in cache:
-                    continue
-                push(frame | _READY1)
-                c1 = high[frame]
-                if c1 > 1:
-                    push(c1)
-                c0 = low[frame]
-                if c0 > 1:
-                    push(c0)
-            else:
-                node = frame ^ _READY1
-                c0 = low[node]
-                c1 = high[node]
-                r0 = c0 if c0 < 2 else cache[c0]
-                r1 = c1 if c1 < 2 else cache[c1]
-                lv = level[node]
-                lv = level_map.get(lv, lv)
-                # Monotone maps preserve the node shape: r0 != r1.
-                unique_key = (lv << 56) | (r0 << _SH) | r1
-                res = unique.get(unique_key)
-                if res is None:
-                    res = len(level)
-                    if res >= _DEAD_CHILD:
-                        raise RuntimeError("fast kernel node-id space exhausted")
-                    level.append(lv)
-                    low.append(r0)
-                    high.append(r1)
-                    unique[unique_key] = res
-                    created += 1
-                cache[node] = res
-        if created:
-            self._live += created
-            self._index_dirty = True
-        return cache[f]
-
-    def _rename_compose(self, f: int, level_map: dict[int, int]) -> int:
-        """General substitution by bottom-up ite composition (safe for
-        order-changing maps) — the reference kernel's algorithm."""
-        low = self._low
-        high = self._high
-        level = self._level
-        ite = self.ite
-        mk = self._mk
-        cache: dict[int, int] = {}
-        stack = [f]
-        push = stack.append
-        while stack:
-            frame = stack.pop()
-            if frame < _READY1:
-                if frame in cache:
-                    continue
-                push(frame | _READY1)
-                c1 = high[frame]
-                if c1 > 1:
-                    push(c1)
-                c0 = low[frame]
-                if c0 > 1:
-                    push(c0)
-            else:
-                node = frame ^ _READY1
-                c0 = low[node]
-                c1 = high[node]
-                r0 = c0 if c0 < 2 else cache[c0]
-                r1 = c1 if c1 < 2 else cache[c1]
-                lv = level[node]
-                target = level_map.get(lv, lv)
-                variable = mk(target, 0, 1)
-                cache[node] = ite(variable, r1, r0)
-        return cache[f]
 
     def restrict(self, f: int, assignment: dict[str, bool]) -> int:
         levels = {self._var_ids[n]: v for n, v in assignment.items()}

@@ -13,7 +13,7 @@ implementation through :func:`make_kernel`.  Two kernels ship:
 * ``fast`` — :class:`repro.mc.fastbdd.FastKernel`, flat parallel
   ``array('q')`` columns for (level, low, high), packed-integer keys in
   the open-addressed unique/computed hash tables, and iterative
-  (explicit-stack) apply/exists/rename loops.  The default: ``auto``
+  (explicit-stack) apply/exists loops.  The default: ``auto``
   resolves to it.
 
 Every kernel honors the same contract the rest of the stack relies on:
@@ -86,10 +86,7 @@ class BddKernel(Protocol):
 
     # Quantification / substitution ------------------------------------
     def exists(self, names: list[str], f: int) -> int: ...
-    def forall(self, names: list[str], f: int) -> int: ...
-    def and_exists(self, names: list[str], f: int, g: int) -> int: ...
     def and_exists_list(self, names: list[str], conjuncts: list[int]) -> int: ...
-    def rename(self, f: int, mapping: dict[str, str]) -> int: ...
     def restrict(self, f: int, assignment: dict[str, bool]) -> int: ...
     def support(self, f: int) -> frozenset[str]: ...
 
@@ -128,7 +125,7 @@ class KernelBase:
 
     Subclasses provide the node table and the traversals: ``_mk``,
     ``ite``, ``and_``/``or_``/``not_``, ``_exists``, ``_and_exists``,
-    ``_support_levels``, ``_rename``-style substitution, ``restrict``,
+    ``_support_levels``, ``restrict``,
     ``evaluate``/``count_sat``/``any_sat``/``size``, ``collect``,
     ``swap_adjacent``, ``allocated_nodes``, ``node_triple``, and the
     ``_drop_op_caches`` hook (invoked when memo tables may hold dead or
@@ -237,26 +234,12 @@ class KernelBase:
             result = self.or_(result, item)
         return result
 
-    def forall(self, names: list[str], f: int) -> int:
-        return self.not_(self.exists(names, self.not_(f)))
-
     # ------------------------------------------------------------------
     # Quantification wrappers (schedules are representation-independent)
     # ------------------------------------------------------------------
     def exists(self, names: list[str], f: int) -> int:
         levels = sorted(self._var_ids[name] for name in names)
         return self._exists(frozenset(levels), f, {})
-
-    def and_exists(self, names: list[str], f: int, g: int) -> int:
-        """The relational product ``exists names . f & g`` in one pass.
-
-        The workhorse of symbolic image computation (``names`` is one
-        variable block, e.g. all next-state variables): fusing the
-        conjunction with the quantification never materializes ``f & g``,
-        whose BDD can be far larger than the quantified result.
-        """
-        levels = frozenset(self._var_ids[name] for name in names)
-        return self._and_exists(levels, f, g, {})
 
     def and_exists_list(self, names: list[str], conjuncts: list[int]) -> int:
         """``exists names . conjunct_1 & ... & conjunct_k`` with an early
@@ -358,10 +341,8 @@ class KernelBase:
 
         Each group (default: every variable on its own) is moved as one
         block through every position of the order; the position minimizing
-        the node table is kept.  Grouping is how the encoder preserves its
-        interleaved current/next pairing invariant: passing the (x, y)
-        pairs as groups keeps each pair adjacent and in x-before-y order
-        no matter where sifting parks it.
+        the node table is kept.  A group keeps its variables adjacent and
+        in their relative order no matter where sifting parks it.
 
         ``roots`` (plus every :meth:`protect`-ed id) feed the collector:
         garbage is swept before sifting and between groups so the size

@@ -11,14 +11,13 @@ Variable blocks
 ---------------
 Every attribute of the deduplicated union attribute set (apps sharing a
 device handle share the attribute, hence the *same* variable block) gets a
-block of ``ceil(log2 |domain|)`` boolean variables encoding the index of
-its current value, with current (``x``) and next (``y``) bits interleaved
-— the standard good ordering for transition relations.  One extra block
-encodes the *incoming fragment*: which symbolic transition produced the
-state.  That block carries the transition-derived atomic propositions of
-the explicit Kripke construction (``ev:``, ``act:``, ``actsrc:``,
-``cmd:``, ``app:``, ``sent-notification``, ...), so CTL formulas written
-against :mod:`repro.model.kripke`'s vocabulary check unchanged.  (The
+block of ``ceil(log2 |domain|)`` boolean current-state variables encoding
+the index of its current value.  One extra block encodes the *incoming
+fragment*: which symbolic transition produced the state.  That block
+carries the transition-derived atomic propositions of the explicit Kripke
+construction (``ev:``, ``act:``, ``actsrc:``, ``cmd:``, ``app:``,
+``sent-notification``, ...), so CTL formulas written against
+:mod:`repro.model.kripke`'s vocabulary check unchanged.  (The
 state-dependent residual-guard ``src:`` labels are the one deliberate
 omission: no property references them, and dropping them is exactly the
 bisimulation quotient that keeps every CTL verdict identical.)
@@ -28,42 +27,34 @@ Fragments
 A *fragment* is one symbolic transition: an app's path summary fired for
 one concrete event value.  Its guard is decided per referenced attribute
 value (never per product state), its action writes are state-independent
-labels, and every untouched attribute keeps its value through an
-``x = y`` frame constraint.  The union transition relation is the
-disjunction of all fragments — asynchronous interleaving, exactly the
-explicit expansion's semantics — made total by identity self-loops on
-deadlocked states.  Reachability is a symbolic least fixpoint from the
-initial-state BDD; the breadth-first frontiers are kept for
-counterexample witness extraction in :mod:`repro.mc.symbolic`.
+labels, and every untouched attribute keeps its value.  The union
+transition relation is the disjunction of all fragments — asynchronous
+interleaving, exactly the explicit expansion's semantics — made total by
+self-loops on deadlocked states.  Reachability is a symbolic least
+fixpoint from the initial-state BDD; the breadth-first frontiers are kept
+for counterexample witness extraction in :mod:`repro.mc.symbolic`.
 
-Encodings
----------
-Two interchangeable relation encodings produce identical state sets:
+The partitioned relation
+------------------------
+The relation is never fused into one BDD.  It is kept as a disjunctive
+partition: one cluster per app/event fragment, stored as its firing
+conjuncts plus the cube of written values, with no frame constraints and
+no next-state variables at all.  Images and preimages are computed
+fragment by fragment through
+:meth:`repro.mc.kernel.KernelBase.and_exists_list`, which existentially
+quantifies each variable out as soon as no later conjunct of the
+schedule mentions it, then re-stamps the written values over the same
+current-state variables; untouched attributes simply *stay in place*
+(the frame is implicit), so no BDD ever mentions more variables than one
+fragment touches.  This is Burch et al.'s partitioned transition
+relation specialised to asynchronous interleaving.  A fused relation
+with ``x = y`` frames is slower on every measured union (2-13-app paper
+groups, fleet households, the 82-app corpus union, which it never
+finishes encoding) and returns the same sets, so it is not kept.
 
-* ``monolithic`` — conjoin every fragment with its frame constraints and
-  disjoin everything into one relation BDD.  Fine for paper-scale
-  clusters, but each fragment's frame mentions *every* variable block, so
-  the single relation blows up combinatorially on wide unions (the
-  82-app all-corpus union never finishes encoding).
-* ``partitioned`` — keep the disjunctive partition: one cluster per
-  app/event fragment, stored as its x-side firing conjuncts plus the
-  cube of written next values, with no frame constraints at all.  Images
-  and preimages are computed fragment by fragment through
-  :meth:`repro.mc.bdd.BDD.and_exists_list`, which existentially
-  quantifies each variable out as soon as no later conjunct of the
-  schedule mentions it; untouched attributes simply *stay in place*
-  (the frame is implicit), so no BDD ever mentions more variables than
-  one fragment touches.  This is Burch et al.'s partitioned transition
-  relation specialised to asynchronous interleaving, and it is what
-  makes the all-corpus union checkable.
-
-``auto`` picks per model: partitioned above
-:data:`PARTITION_FRAGMENT_THRESHOLD` fragments, monolithic below (small
-unions check marginally faster on the fused relation).  Both encodings
-arm sifting-based dynamic variable reordering
-(:meth:`repro.mc.bdd.BDD.sift`) on node-count growth during encoding and
-reachability, moving interleaved (x, y) pairs as indivisible groups so
-the pairing invariant survives any reorder.
+Sifting-based dynamic variable reordering
+(:meth:`repro.mc.kernel.KernelBase.sift`) is armed on node-count growth
+during encoding and reachability.
 """
 
 from __future__ import annotations
@@ -83,35 +74,9 @@ from repro.model.statemodel import StateModel, Transition
 from repro.platform.events import Event
 
 
-#: Recognized relation encodings.
-ENCODINGS = ("auto", "monolithic", "partitioned")
-
-#: Fragment count beyond which ``auto`` switches from the monolithic
-#: relation to the disjunctive partition.  Paper-scale clusters (every
-#: Table-4 group, every MalIoT environment — the 13-app cluster encodes
-#: ~70 fragments) stay monolithic; corpus-wide unions partition.
-PARTITION_FRAGMENT_THRESHOLD = 96
-
 #: Live-node-count trigger for the first automatic sift during encoding
 #: and reachability (doubles after every reorder, CUDD-style).
 REORDER_NODE_THRESHOLD = 60_000
-
-
-def resolve_encoding(encoding: str, fragment_count: int) -> str:
-    """Pick the relation encoding for a model of ``fragment_count``
-    fragments: ``auto`` partitions above
-    :data:`PARTITION_FRAGMENT_THRESHOLD`; explicit choices are honored."""
-    if encoding not in ENCODINGS:
-        raise ValueError(
-            f"unknown encoding {encoding!r}; expected one of {', '.join(ENCODINGS)}"
-        )
-    if encoding != "auto":
-        return encoding
-    return (
-        "partitioned"
-        if fragment_count > PARTITION_FRAGMENT_THRESHOLD
-        else "monolithic"
-    )
 
 
 @dataclass(frozen=True)
@@ -133,10 +98,7 @@ class Fragment:
 
 
 # ----------------------------------------------------------------------
-# Fragment enumeration and firing semantics, shared by both BDD
-# encodings below: they compile the *same* fragment descriptors and guard
-# tables, which is what makes their transition relations identical by
-# construction.
+# Fragment enumeration and firing semantics.
 # ----------------------------------------------------------------------
 def enumerate_fragments(model: StateModel):
     """All fragments of ``model``'s union rules, with their summaries.
@@ -272,8 +234,7 @@ def fire_requirements(model: StateModel, written, fragment: Fragment, summary):
     """The state-side firing requirements of one fragment, or ``None``
     when it can never fire.
 
-    The single definition of the firing semantics shared by every
-    encoding (monolithic and partitioned):
+    The single definition of the firing semantics:
 
     * the fire-on-change condition — device events fire on attribute
       *changes*, except that app-written values re-stimulate
@@ -311,24 +272,23 @@ def fire_requirements(model: StateModel, written, fragment: Fragment, summary):
 class _Partition:
     """One cluster of the disjunctive transition partition.
 
-    The relation restricted to one fragment is
-    ``fire(x) & writes(y) & frame(x, y)`` — but the frame is never built:
-    images keep the untouched current-state variables in place and only
-    quantify ``quant_x`` (the written blocks plus the incoming-fragment
-    block), then stamp ``write_x``, the written values re-encoded over
-    *current*-state variables.
+    The fragment moves every state satisfying ``fire`` to the state that
+    holds its written values and its fragment id, every other attribute
+    unchanged.  No frame is ever built: images keep the untouched
+    variables in place and only quantify ``quant_x`` (the written blocks
+    plus the incoming-fragment block), then stamp ``write_x``.
     """
 
     fragment: Fragment
-    #: x-side firing conjuncts (change condition + guard atoms), kept
+    #: Firing conjuncts (change condition + guard atoms), kept
     #: unconjoined so the early-quantification schedule can interleave
     #: them with the frontier set.
     fire: tuple[int, ...]
     #: The conjunction of ``fire`` (used for preimages and deadlock).
     fire_all: int
-    #: Written values + fragment id, as a cube over x variables.
+    #: Written values + fragment id, as a cube.
     write_x: int
-    #: x variables whose post-value is fixed by the fragment.
+    #: Variables whose post-value is fixed by the fragment.
     quant_x: tuple[str, ...]
 
 
@@ -337,17 +297,16 @@ class SymbolicUnionModel:
 
     Built from a :func:`repro.model.union.build_union_skeleton` result:
     the skeleton's ``rule_origins`` carry every app's renamed rules, its
-    ``attributes`` are the shared variable blocks.  Exposes the transition
-    relation (monolithic encoding) or the disjunctive partition
-    (``partitioned``), the initial-state set, the reachable set with its
-    BFS frontiers, and a proposition map — everything
+    ``attributes`` are the shared variable blocks.  Exposes the
+    disjunctive transition partition with its :meth:`post`/:meth:`pre`
+    images, the initial-state set, the reachable set with its BFS
+    frontiers, and a proposition map — everything
     :class:`repro.mc.symbolic.SymbolicModelChecker` needs.
     """
 
     def __init__(
         self,
         model: StateModel,
-        encoding: str = "auto",
         reorder_threshold: int | None = REORDER_NODE_THRESHOLD,
         written: frozenset[tuple[str, str, str]] | None = None,
         kernel: str | BddKernel = "auto",
@@ -376,51 +335,38 @@ class SymbolicUnionModel:
         )
         descriptors = enumerate_fragments(model)
         self.fragments: dict[int, Fragment] = {f.fid: f for f, _s in descriptors}
-        self.requested_encoding = encoding
-        self.encoding = resolve_encoding(encoding, len(self.fragments))
 
         # ---- variable allocation: the fragment block on top, then the
-        # attribute blocks, x/y interleaved inside every block.  Top
-        # placement matters: reachable sets and frontiers are unions of
-        # per-fragment-labelled slices, and with the label on top such a
-        # union is a prefix tree over the fragment id whose size is the
-        # *sum* of the per-fragment slices.  With the label at the bottom
-        # it is the attributes -> fragment-set map, which explodes
-        # combinatorially on wide unions (measured: a 14-app frontier
-        # grows 128k nodes bottom-labelled vs ~2k top-labelled).
+        # attribute blocks.  Top placement matters: reachable sets and
+        # frontiers are unions of per-fragment-labelled slices, and with
+        # the label on top such a union is a prefix tree over the fragment
+        # id whose size is the *sum* of the per-fragment slices.  With the
+        # label at the bottom it is the attributes -> fragment-set map,
+        # which explodes combinatorially on wide unions (measured: a
+        # 14-app frontier grows 128k nodes bottom-labelled vs ~2k
+        # top-labelled).
         nfrag = len(self.fragments)
         self._frag_bits = max(1, nfrag.bit_length())
         self._frag_x: list[str] = []
-        self._frag_y: list[str] = []
         for bit in range(self._frag_bits):
             self.bdd.add_var(f"fb{bit}x")
-            self.bdd.add_var(f"fb{bit}y")
             self._frag_x.append(f"fb{bit}x")
-            self._frag_y.append(f"fb{bit}y")
         self._block_bits: list[int] = [
             max(1, (len(attr.domain) - 1).bit_length()) for attr in model.attributes
         ]
         self._xbits: list[list[str]] = []
-        self._ybits: list[list[str]] = []
         for index, bits in enumerate(self._block_bits):
-            xs, ys = [], []
+            xs = []
             for bit in range(bits):
                 xs.append(f"a{index}b{bit}x")
-                ys.append(f"a{index}b{bit}y")
                 self.bdd.add_var(xs[-1])
-                self.bdd.add_var(ys[-1])
             self._xbits.append(xs)
-            self._ybits.append(ys)
         self.xvars = [v for xs in self._xbits for v in xs] + self._frag_x
-        self.yvars = [v for ys in self._ybits for v in ys] + self._frag_y
-        self._x_to_y = dict(zip(self.xvars, self.yvars))
-        self._y_to_x = dict(zip(self.yvars, self.xvars))
 
-        # ---- dynamic reordering: sift (x, y) pairs as indivisible groups
-        # whenever the node table outgrows the threshold.  Armed only while
-        # this constructor runs: every live id below is protected as it is
-        # stored, which is exactly the window where the GC root set is
-        # fully enumerable.
+        # ---- dynamic reordering: sift whenever the node table outgrows
+        # the threshold.  Armed only while this constructor runs: every
+        # live id below is protected as it is stored, which is exactly the
+        # window where the GC root set is fully enumerable.
         if reorder_threshold is not None:
             self.bdd.set_auto_reorder(self.reorder_groups(), reorder_threshold)
 
@@ -432,17 +378,10 @@ class SymbolicUnionModel:
             )
         )
         self.initial = protect(self.bdd.and_(self.valid, self._frag_cube(0)))
-        self.partitions: list[_Partition] | None
-        #: States without an enabled fragment (self-loop targets); kept in
-        #: partitioned mode where the totalising loops are implicit.
-        self._dead: int | None
-        if self.encoding == "partitioned":
-            self.relation = None
-            self.partitions = self._build_partitions(descriptors)
-        else:
-            self.relation = protect(self._build_relation(descriptors))
-            self.partitions = None
-            self._dead = None
+        #: States without an enabled fragment: the self-loop targets that
+        #: make the relation total, kept implicit.
+        self._dead: int
+        self.partitions = self._build_partitions(descriptors)
         self.reachable, self.frontiers = self._compute_reachable()
         protect(self.reachable)
         # Last safe point: everything live is protected, so give the
@@ -456,21 +395,9 @@ class SymbolicUnionModel:
             protect(prop)
 
     def reorder_groups(self) -> list[list[str]]:
-        """The sifting groups: every interleaved (x, y) variable pair.
-
-        Moving pairs as blocks is what preserves the encoder's pairing
-        invariant — after any reorder, each current-state bit is still
-        immediately followed by its next-state twin.
-        """
-        groups = [
-            [xname, yname]
-            for xs, ys in zip(self._xbits, self._ybits)
-            for xname, yname in zip(xs, ys)
-        ]
-        groups.extend(
-            [xname, yname] for xname, yname in zip(self._frag_x, self._frag_y)
-        )
-        return groups
+        """The sifting groups: every state variable on its own, attribute
+        blocks first, then the incoming-fragment block."""
+        return [[name] for name in self.xvars]
 
     # ------------------------------------------------------------------
     # Encoding primitives
@@ -483,15 +410,13 @@ class SymbolicUnionModel:
             )
         return self.bdd.conj(terms)
 
-    def value_cube(self, index: int, label: str, prime: bool = False) -> int:
-        """BDD for "attribute ``index`` holds ``label``" (x or y bits)."""
+    def value_cube(self, index: int, label: str) -> int:
+        """BDD for "attribute ``index`` holds ``label``"."""
         code = self.model.attributes[index].domain.index(label)
-        names = self._ybits[index] if prime else self._xbits[index]
-        return self._code_cube(names, code)
+        return self._code_cube(self._xbits[index], code)
 
-    def _frag_cube(self, fid: int, prime: bool = False) -> int:
-        names = self._frag_y if prime else self._frag_x
-        return self._code_cube(names, fid)
+    def _frag_cube(self, fid: int) -> int:
+        return self._code_cube(self._frag_x, fid)
 
     def _block_valid(self, index: int) -> int:
         domain = self.model.attributes[index].domain
@@ -502,28 +427,13 @@ class SymbolicUnionModel:
             [self._code_cube(self._xbits[index], code) for code in range(size)]
         )
 
-    def _block_identity(self, index: int) -> int:
-        terms = []
-        for xname, yname in zip(self._xbits[index], self._ybits[index]):
-            terms.append(self.bdd.iff(self.bdd.var(xname), self.bdd.var(yname)))
-        return self.bdd.conj(terms)
-
-    def _identity_all(self) -> int:
-        terms = [
-            self._block_identity(index) for index in range(len(self.model.attributes))
-        ]
-        for xname, yname in zip(self._frag_x, self._frag_y):
-            terms.append(self.bdd.iff(self.bdd.var(xname), self.bdd.var(yname)))
-        return self.bdd.conj(terms)
-
     # ------------------------------------------------------------------
-    # Relation
+    # The disjunctive partition
     # ------------------------------------------------------------------
     def _fire_conjuncts(self, fragment: Fragment, summary) -> list[int] | None:
-        """The x-side firing conjuncts of one fragment, or None when it
-        can never fire: the shared :func:`fire_requirements` semantics
-        rendered as BDDs (the monolithic relation conjoins the list, the
-        partition keeps it for the early-quantification schedule)."""
+        """The firing conjuncts of one fragment, or None when it can never
+        fire: the :func:`fire_requirements` semantics rendered as BDDs,
+        kept unconjoined for the early-quantification schedule."""
         bdd = self.bdd
         requirements = fire_requirements(self.model, self._written, fragment, summary)
         if requirements is None:
@@ -550,41 +460,6 @@ class SymbolicUnionModel:
                 )
         return conjuncts
 
-    def _build_relation(self, descriptors) -> int:
-        bdd = self.bdd
-        terms = []
-        for fragment, summary in descriptors:
-            conjuncts = self._fire_conjuncts(fragment, summary)
-            if conjuncts is None:
-                continue
-            term = bdd.conj(conjuncts)
-            if term == bdd.FALSE:
-                continue  # contradictory guard atoms: never fires
-            written = dict(fragment.writes)
-            for attr_index in range(len(self.model.attributes)):
-                if attr_index in written:
-                    term = bdd.and_(
-                        term, self.value_cube(attr_index, written[attr_index], prime=True)
-                    )
-                else:
-                    term = bdd.and_(term, self._block_identity(attr_index))
-            term = bdd.and_(term, self._frag_cube(fragment.fid, prime=True))
-            terms.append(bdd.protect(term))
-            bdd.maybe_reorder()
-        relation = bdd.disj(terms)
-        for term in terms:
-            bdd.unprotect(term)
-        # Totalise: deadlocked states self-loop, keeping their incoming
-        # label — CTL semantics require a total relation.
-        has_successor = bdd.exists(self.yvars, relation)
-        dead = bdd.and_(self.valid, bdd.not_(has_successor))
-        if dead != bdd.FALSE:
-            relation = bdd.or_(relation, bdd.and_(dead, self._identity_all()))
-        return relation
-
-    # ------------------------------------------------------------------
-    # The disjunctive partition (no frames, no monolithic relation)
-    # ------------------------------------------------------------------
     def _build_partitions(self, descriptors) -> list[_Partition]:
         bdd = self.bdd
         partitions: list[_Partition] = []
@@ -635,49 +510,38 @@ class SymbolicUnionModel:
     def post(self, states: int) -> int:
         """Symbolic image: successors of ``states`` under the relation.
 
-        Partitioned: fragment by fragment — quantify the written blocks
-        out of ``states & fire`` on the early schedule (untouched blocks
-        stay in place, the frame is implicit), stamp the written values,
-        and disjoin; deadlocked states contribute themselves.  Monolithic:
-        one fused relational product.  Both encodings return the same set.
+        Fragment by fragment: quantify the written blocks out of
+        ``states & fire`` on the early schedule (untouched blocks stay in
+        place, the frame is implicit), stamp the written values, and
+        disjoin; deadlocked states contribute themselves.
         """
-        if self.partitions is not None:
-            bdd = self.bdd
-            terms = []
-            for part in self.partitions:
-                image = bdd.and_exists_list(
-                    list(part.quant_x), [states, *part.fire]
-                )
-                if image == bdd.FALSE:
-                    continue
-                terms.append(bdd.and_(part.write_x, image))
-            terms.append(bdd.and_(states, self._dead))
-            return bdd.disj(terms)
-        primed = self.bdd.and_exists(self.xvars, self.relation, states)
-        return self.bdd.rename(primed, self._y_to_x)
+        bdd = self.bdd
+        terms = []
+        for part in self.partitions:
+            image = bdd.and_exists_list(list(part.quant_x), [states, *part.fire])
+            if image == bdd.FALSE:
+                continue
+            terms.append(bdd.and_(part.write_x, image))
+        terms.append(bdd.and_(states, self._dead))
+        return bdd.disj(terms)
 
     def pre(self, states: int) -> int:
         """Symbolic preimage of ``states`` under the relation.
 
-        Partitioned: for each fragment, cofactor ``states`` on the written
-        values and the fragment id (quantifying those blocks out), then
-        conjoin the firing condition; deadlocked states in ``states`` are
-        their own predecessors.
+        For each fragment, cofactor ``states`` on the written values and
+        the fragment id (quantifying those blocks out), then conjoin the
+        firing condition; deadlocked states in ``states`` are their own
+        predecessors.
         """
-        if self.partitions is not None:
-            bdd = self.bdd
-            terms = []
-            for part in self.partitions:
-                hit = bdd.and_exists_list(
-                    list(part.quant_x), [states, part.write_x]
-                )
-                if hit == bdd.FALSE:
-                    continue
-                terms.append(bdd.and_(part.fire_all, hit))
-            terms.append(bdd.and_(states, self._dead))
-            return bdd.disj(terms)
-        primed = self.bdd.rename(states, self._x_to_y)
-        return self.bdd.and_exists(self.yvars, self.relation, primed)
+        bdd = self.bdd
+        terms = []
+        for part in self.partitions:
+            hit = bdd.and_exists_list(list(part.quant_x), [states, part.write_x])
+            if hit == bdd.FALSE:
+                continue
+            terms.append(bdd.and_(part.fire_all, hit))
+        terms.append(bdd.and_(states, self._dead))
+        return bdd.disj(terms)
 
     def _compute_reachable(self) -> tuple[int, list[int]]:
         """Least fixpoint of ``post`` from the initial states.
@@ -729,8 +593,8 @@ class SymbolicUnionModel:
 
     # ------------------------------------------------------------------
     def state_cube(self, assignment: dict[str, bool]) -> int:
-        """The x-cube pinning every current-state variable of a (possibly
-        partial) satisfying assignment; unmentioned variables read False,
+        """The cube pinning every state variable of a (possibly partial)
+        satisfying assignment; unmentioned variables read False,
         matching :meth:`BDD.any_sat`'s completion convention."""
         terms = []
         for name in self.xvars:
@@ -740,8 +604,8 @@ class SymbolicUnionModel:
         return self.bdd.conj(terms)
 
     def decode(self, assignment: dict[str, bool]) -> tuple[KripkeState, frozenset[str]]:
-        """Turn a satisfying assignment over x-vars into the explicit
-        Kripke node it denotes, plus that node's label set."""
+        """Turn a satisfying assignment over the state variables into the
+        explicit Kripke node it denotes, plus that node's label set."""
         values = []
         for index, attr in enumerate(self.model.attributes):
             code = 0
@@ -763,19 +627,13 @@ class SymbolicUnionModel:
         return KripkeState(state=tuple(values), incoming=incoming), frozenset(labels)
 
     def state_count(self) -> int:
-        """Number of reachable symbolic states (for reports/benchmarks).
-
-        ``count_sat`` counts over every registered variable; the reachable
-        set mentions only current-state variables, so each real state is
-        counted once per next-state assignment — divide those back out.
-        """
-        return self.bdd.count_sat(self.reachable) >> len(self.yvars)
+        """Number of reachable symbolic states (for reports/benchmarks)."""
+        return self.bdd.count_sat(self.reachable)
 
 
 def encode_union(
     models: list[StateModel],
     shared_devices: dict[tuple[str, str], str] | None = None,
-    encoding: str = "auto",
     kernel: str | BddKernel = "auto",
 ) -> SymbolicUnionModel:
     """Compile app state models into one symbolic union model.
@@ -783,14 +641,11 @@ def encode_union(
     The convenience entry point: builds the non-materializing union
     skeleton (shared attribute variables for shared device handles) and
     encodes it.  ``shared_devices`` has :func:`build_union_model`'s
-    meaning; ``encoding`` picks the relation representation (``auto``,
-    ``monolithic``, or ``partitioned`` — see the module docstring);
-    ``kernel`` picks the BDD kernel (``auto``, ``reference``, ``fast``).
+    meaning; ``kernel`` picks the BDD kernel (``auto``, ``reference``, ``fast``).
     """
     from repro.model.union import build_union_skeleton
 
     return SymbolicUnionModel(
         build_union_skeleton(models, shared_devices=shared_devices),
-        encoding=encoding,
         kernel=kernel,
     )

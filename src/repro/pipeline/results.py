@@ -20,6 +20,10 @@ from repro.platform.smartapp import SmartApp
 from repro.properties.catalog import Violation
 
 
+def _encoding(backend: str) -> str | None:
+    return "partitioned" if backend == "symbolic" else None
+
+
 @dataclass
 class AppAnalysis:
     """Everything Soteria derives from one app.
@@ -46,8 +50,6 @@ class AppAnalysis:
     #: Property ids the backend skipped (e.g. ``DET`` on the symbolic
     #: path); empty when every applicable check ran.
     skipped_properties: list[str] = field(default_factory=list)
-    #: Relation encoding the symbolic backend used; None when explicit.
-    encoding: str | None = None
     #: Resolved BDD kernel the symbolic backend used; None when explicit.
     kernel: str | None = None
     #: The kernel's final stats() snapshot; None when explicit.
@@ -59,6 +61,12 @@ class AppAnalysis:
     #: otherwise) — the pipeline keys union artifacts on it so a member
     #: precomputed with a custom database never aliases default-db keys.
     db_token: str = "default"
+
+    @property
+    def encoding(self) -> str | None:
+        """The symbolic relation encoding (always ``partitioned``); None
+        when the explicit backend ran."""
+        return _encoding(self.backend)
 
     def violated_ids(self) -> set[str]:
         return {v.property_id for v in self.violations}
@@ -86,13 +94,16 @@ class EnvironmentAnalysis:
     backend: str = "explicit"
     state_estimate: int = 0
     check_results: dict[str, list[CheckResult]] = field(default_factory=dict)
-    #: Relation encoding the symbolic backend used (``monolithic`` or
-    #: ``partitioned``); None when the explicit backend ran.
-    encoding: str | None = None
     #: Resolved BDD kernel the symbolic backend used; None when explicit.
     kernel: str | None = None
     #: The kernel's final stats() snapshot; None when explicit.
     kernel_stats: dict | None = None
+
+    @property
+    def encoding(self) -> str | None:
+        """The symbolic relation encoding (always ``partitioned``); None
+        when the explicit backend ran."""
+        return _encoding(self.backend)
 
     def multi_app_violations(self) -> list[Violation]:
         """Violations involving two or more apps (the Table 4 kind)."""

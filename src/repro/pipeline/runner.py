@@ -215,7 +215,6 @@ class Pipeline:
             backend=chosen,
             state_estimate=estimate_union_states([model]),
             skipped_properties=list(outcome.skipped_properties),
-            encoding=outcome.encoding,
             kernel=outcome.kernel,
             kernel_stats=outcome.kernel_stats,
             abstract_numeric=abstract_numeric,
@@ -243,7 +242,7 @@ class Pipeline:
 
         # Per-app pipeline for raw members under the same config: a
         # forced-backend environment run must analyze its members with
-        # the same backend/encoding, not silently with the defaults.
+        # the same backend/kernel, not silently with the defaults.
         analyses = [
             source
             if isinstance(source, AppAnalysis)
@@ -331,7 +330,6 @@ class Pipeline:
             backend=chosen,
             state_estimate=estimate,
             check_results={k: list(v) for k, v in outcome.check_results.items()},
-            encoding=outcome.encoding,
             kernel=outcome.kernel,
             kernel_stats=outcome.kernel_stats,
         )

@@ -43,7 +43,6 @@ from repro.model import (
     build_union_skeleton,
     extract_model,
 )
-from repro.model.encoder import ENCODINGS
 from repro.model.kripke import KripkeStructure
 from repro.platform.capabilities import CapabilityDatabase, default_database
 from repro.platform.smartapp import SmartApp
@@ -68,9 +67,8 @@ BACKENDS = ("auto", "explicit", "symbolic")
 class CheckConfig:
     """Which checker answers a check, and with which knobs.
 
-    ``backend`` is one of :data:`BACKENDS`; ``encoding`` (the symbolic
-    relation encoding) and ``kernel`` (the BDD kernel) are consulted by
-    the symbolic backend; ``max_union_states`` is the explicit
+    ``backend`` is one of :data:`BACKENDS`; ``kernel`` (the BDD kernel)
+    is consulted by the symbolic backend; ``max_union_states`` is the explicit
     budget: ``auto`` goes symbolic past it (default
     :data:`AUTO_SYMBOLIC_THRESHOLD`), and a forced ``explicit`` union
     raises past it.  Frozen and picklable, so it ships to worker
@@ -78,11 +76,10 @@ class CheckConfig:
 
     Construction fails fast on a misspelled knob, even one a particular
     input would never consult (a small model resolving to the explicit
-    backend must still reject a bogus encoding or kernel).
+    backend must still reject a bogus kernel).
     """
 
     backend: str = "auto"
-    encoding: str = "auto"
     kernel: str = "auto"
     max_union_states: int | None = None
 
@@ -91,11 +88,6 @@ class CheckConfig:
             raise ValueError(
                 f"unknown backend {self.backend!r}; "
                 f"expected one of {', '.join(BACKENDS)}"
-            )
-        if self.encoding not in ENCODINGS:
-            raise ValueError(
-                f"unknown encoding {self.encoding!r}; "
-                f"expected one of {', '.join(ENCODINGS)}"
             )
         resolve_kernel(self.kernel)
 
@@ -117,7 +109,7 @@ class CheckConfig:
             backend = "symbolic" if estimate > budget else "explicit"
         if backend == "explicit":
             return CheckConfig("explicit")
-        return CheckConfig(backend, self.encoding, self.kernel)
+        return CheckConfig(backend, self.kernel)
 
     def key(self) -> str:
         """The knob token every cache tier digests: each field, in order
@@ -197,8 +189,6 @@ class CheckOutcome:
     check_results: dict[str, list[CheckResult]] = field(default_factory=dict)
     #: Property ids this backend skipped (``DET`` on the symbolic path).
     skipped_properties: list[str] = field(default_factory=list)
-    #: Resolved symbolic relation encoding; None for the explicit backend.
-    encoding: str | None = None
     #: Resolved BDD kernel name; None for the explicit backend.
     kernel: str | None = None
     #: The kernel's final stats() snapshot (observability; None on the
@@ -320,9 +310,7 @@ def _checker(
     from repro.model.encoder import SymbolicUnionModel
 
     return SymbolicModelChecker(
-        SymbolicUnionModel(
-            model, encoding=config.encoding, written=written, kernel=config.kernel
-        )
+        SymbolicUnionModel(model, written=written, kernel=config.kernel)
     )
 
 
@@ -331,7 +319,6 @@ def _finish_check(outcome: CheckOutcome, checker, config: CheckConfig) -> None:
     if config.backend == "explicit":
         return
     symbolic = checker.symbolic
-    outcome.encoding = symbolic.encoding
     outcome.kernel = symbolic.kernel
     outcome.kernel_stats = symbolic.bdd.stats()
     record_kernel_stats(outcome.kernel_stats)

@@ -9,7 +9,7 @@ Identical inputs always map to the identical key, so
 * re-running any entry point over unchanged sources re-uses every stage
   from the store (the warm path never re-parses, re-extracts, or
   re-checks anything);
-* changing one knob (a new property catalog, a forced encoding) misses
+* changing one knob (a new property catalog, a forced kernel) misses
   only on the stages downstream of the change — e.g. a re-check with a
   different catalog reuses the cached ``model`` artifact and re-runs
   only ``check``;
@@ -75,8 +75,7 @@ from pathlib import Path
 #: (IR, abstraction, model extraction, property catalog, result
 #: dataclasses) can alter an artifact, so stale results are never served
 #: across code changes.
-PIPELINE_VERSION = "9"   # 9: check/sweep/fleet keys digest
-                         # CheckConfig.key()
+PIPELINE_VERSION = "10"  # 10: CheckConfig.key() has no encoding field
 
 #: Environment variable consulted when no cache directory is passed
 #: explicitly (CLI ``--cache-dir`` and the ``cache_dir=`` parameters win).

@@ -22,7 +22,7 @@ Endpoints (all JSON)::
 
     {"source": "...groovy...", "name": "MyApp"}
     {"sources": [{"name": "A", "source": "..."}, ...],
-     "backend": "auto", "encoding": "auto", "kernel": "auto"}
+     "backend": "auto", "kernel": "auto"}
 
 ``backend`` accepts every pipeline backend (see ``soteria env --help``).
 
@@ -84,6 +84,7 @@ import json
 import math
 import re
 import threading
+from concurrent.futures.process import BrokenProcessPool
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, urlparse
 
@@ -179,10 +180,10 @@ def validate_tenant(tenant: str) -> str:
 
 
 def _check_config(body: dict, cls: type = CheckConfig, **extra) -> CheckConfig:
-    """The ``backend``/``encoding``/``kernel`` of a request body as a
+    """The ``backend``/``kernel`` of a request body as a
     validated ``cls`` (a :class:`CheckConfig`, or a subclass built with
     ``extra`` fields)."""
-    knobs = {name: body.get(name, "auto") for name in ("backend", "encoding", "kernel")}
+    knobs = {name: body.get(name, "auto") for name in ("backend", "kernel")}
     try:
         return cls(**knobs, **extra)
     except ValueError as exc:
@@ -365,7 +366,6 @@ class SoteriaService:
                     checked_properties=[],
                     skipped_properties=[],
                     resolved_backend=None,
-                    resolved_encoding=None,
                     resolved_kernel=None,
                     kernel_stats=None,
                     state_estimate=0,
@@ -446,8 +446,7 @@ class SoteriaService:
 
             {"households": 10000, "seed": 0, "templates": 50,
              "variants": 3, "corpus_weight": 0.25, "inject_rate": 0.4,
-             "jobs": 1, "backend": "auto", "encoding": "auto",
-             "kernel": "auto"}
+             "jobs": 1, "backend": "auto", "kernel": "auto"}
 
         Runs in the calling (handler) thread — the screen is bounded by
         :data:`MAX_FLEET_HOUSEHOLDS` and canonical dedup keeps the
@@ -538,6 +537,39 @@ class SoteriaService:
             event.set()
 
     # ------------------------------------------------------------------
+    def _in_process_pool(self, fn, *args):
+        """``fn(*args)`` on the process pool.
+
+        A pool one of whose workers died is broken for good: every later
+        submit raises ``BrokenProcessPool``.  It is swapped for a fresh
+        pool, and a job that never reached the broken pool is submitted
+        to the fresh one.  The job in flight when the worker died fails;
+        an identical resubmission retries it.
+        """
+        pool = self._process_pool
+        try:
+            future = pool.submit(fn, *args)
+        except BrokenProcessPool:
+            pool = self._replace_broken_pool(pool)
+            future = pool.submit(fn, *args)
+        try:
+            return future.result()
+        except BrokenProcessPool:
+            self._replace_broken_pool(pool)
+            raise
+
+    def _replace_broken_pool(self, broken):
+        """Swap ``broken`` for a fresh pool unless another runner already
+        did; returns the current pool."""
+        with self._lock:
+            if self._process_pool is broken:
+                self._process_pool = concurrent.futures.ProcessPoolExecutor(
+                    max_workers=self.workers
+                )
+            current = self._process_pool
+        broken.shutdown(wait=False, cancel_futures=True)
+        return current
+
     def _run_job(self, job_id: str) -> None:
         """Job-runner thread body: analyze one job, record the outcome.
 
@@ -555,13 +587,13 @@ class SoteriaService:
                 return
             self.jobs.update(job_id, status="running")
             if self._process_pool is not None:
-                fields = self._process_pool.submit(
+                fields = self._in_process_pool(
                     _analyze_in_worker,
                     named,
                     record.kind,
                     record.config,
                     None if self._cache_root is None else str(self._cache_root),
-                ).result()
+                )
                 # The worker's kernel ran in another process: fold its
                 # stats snapshot into this process's aggregate so
                 # /v1/stats covers process-pool jobs too.  (Thread-pool
@@ -630,7 +662,6 @@ def _run_analysis(
         "checked_properties": list(analysis.checked_properties),
         "skipped_properties": skipped,
         "resolved_backend": analysis.backend,
-        "resolved_encoding": analysis.encoding,
         "resolved_kernel": analysis.kernel,
         "kernel_stats": analysis.kernel_stats,
         "state_estimate": analysis.state_estimate,

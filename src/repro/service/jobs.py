@@ -105,7 +105,6 @@ class JobRecord:
     checked_properties: list[str] = field(default_factory=list)
     skipped_properties: list[str] = field(default_factory=list)
     resolved_backend: str | None = None
-    resolved_encoding: str | None = None
     resolved_kernel: str | None = None
     #: The BDD kernel's final stats() snapshot (symbolic jobs only).
     kernel_stats: dict | None = None

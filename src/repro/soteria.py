@@ -18,15 +18,13 @@ model checking on the union through interchangeable backends:
   the budget (small models check faster explicitly and keep the Kripke
   structure around for callers), symbolic beyond it.
 
-The symbolic backend additionally takes an ``encoding`` knob
-(``monolithic`` | ``partitioned`` | ``auto``): the partitioned encoding
-keeps the transition relation as a disjunctive fragment partition with
-early quantification and is what checks the 82-app all-corpus union
-(see :mod:`repro.model.encoder`).
+The symbolic backend keeps the transition relation as a disjunctive
+fragment partition with early quantification, which is what checks the
+82-app all-corpus union (see :mod:`repro.model.encoder`).
 
-All backends and encodings produce identical violation sets — the
-differential test suite asserts per-formula agreement — so the choice is
-purely a performance/scalability decision.
+All backends produce identical violation sets — the differential test
+suite asserts per-formula agreement — so the choice is purely a
+performance/scalability decision.
 
 Since the staged-pipeline refactor both functions are thin facades over
 :class:`repro.pipeline.Pipeline`: every stage runs through the
@@ -65,7 +63,6 @@ def analyze_app(
     catalog: PropertyCatalog | None = None,
     abstract_numeric: bool = True,
     backend: str = "auto",
-    encoding: str = "auto",
     kernel: str = "auto",
 ) -> AppAnalysis:
     """Run the full Soteria pipeline on a single app.
@@ -77,9 +74,8 @@ def analyze_app(
     the app's rules to BDDs without enumerating a single state, and
     ``auto`` (the default) stays explicit while the model fits the budget
     and falls back to the symbolic checker when it does not — so no app
-    is too wide to analyze.  ``encoding`` is the symbolic relation
-    encoding (see :mod:`repro.model.encoder`) and ``kernel`` the BDD
-    kernel backing it (``reference`` | ``fast`` | ``auto`` — see
+    is too wide to analyze.  ``kernel`` is the BDD kernel backing the
+    symbolic checker (``reference`` | ``fast`` | ``auto`` — see
     :mod:`repro.mc.kernel`).  The symbolic path leaves
     ``kripke`` as None and skips the determinism (DET) check, which is
     defined on materialized transitions — the skip is recorded in
@@ -91,7 +87,7 @@ def analyze_app(
         db=db,
         catalog=catalog,
         abstract_numeric=abstract_numeric,
-        config=CheckConfig(backend, encoding, kernel),
+        config=CheckConfig(backend, kernel),
     )
 
 
@@ -102,7 +98,6 @@ def analyze_environment(
     shared_devices: dict[tuple[str, str], str] | None = None,
     max_union_states: int | None = None,
     backend: str = "auto",
-    encoding: str = "auto",
     kernel: str = "auto",
 ) -> EnvironmentAnalysis:
     """Analyze a group of apps installed together.
@@ -111,8 +106,8 @@ def analyze_environment(
     :class:`SmartApp`, or a finished :class:`AppAnalysis` — precomputed
     analyses (e.g. from the corpus batch driver's caches) are reused
     as-is, so union construction skips the per-app pipeline entirely.
-    Raw members are analyzed with the same ``backend``/``encoding``/
-    ``kernel``/``db``/``catalog`` as the environment itself.
+    Raw members are analyzed with the same ``backend``/``kernel``/``db``/
+    ``catalog`` as the environment itself.
 
     ``backend`` selects the union checker: ``"explicit"``, ``"symbolic"``
     (see the module docstring), or ``"auto"`` (the default — explicit
@@ -125,14 +120,6 @@ def analyze_environment(
     is enumerated, while ``auto`` switches to the symbolic backend, which
     has no budget because it never materializes states.
 
-    ``encoding`` picks the symbolic backend's relation representation:
-    ``monolithic`` (one fused relation BDD), ``partitioned`` (disjunctive
-    partition, one cluster per app/event fragment, with early
-    quantification — the encoding that scales to the all-corpus union),
-    or ``auto`` (partitioned above
-    :data:`repro.model.encoder.PARTITION_FRAGMENT_THRESHOLD` fragments).
-    The resolved choice lands in :attr:`EnvironmentAnalysis.encoding`.
-
     ``kernel`` picks the BDD engine behind the symbolic backend:
     ``fast`` (the array-backed default) or ``reference`` (the
     dict-of-node oracle); ``auto`` resolves to ``fast``.  All kernels produce identical
@@ -144,5 +131,5 @@ def analyze_environment(
         db=db,
         catalog=catalog,
         shared_devices=shared_devices,
-        config=CheckConfig(backend, encoding, kernel, max_union_states),
+        config=CheckConfig(backend, kernel, max_union_states),
     )

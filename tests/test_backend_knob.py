@@ -1,12 +1,12 @@
-"""The encoding/backend knobs end to end: single apps past the extractor
-budget, the all-corpus sweep mode, and the fuzz driver's encoding axis.
+"""The backend knob end to end: single apps past the extractor budget,
+forced backends on environments and sweeps, and the all-corpus sweep mode.
 
-The partitioned encoding's reason to exist is scale: models whose domain
-product can never be enumerated.  These tests pin the three entry points
-that hand such models to the symbolic machinery — ``analyze_app`` (wide
-single apps), ``sweep_dataset(all_corpus=True)`` (the 82-app union via
-the dataset-level CLI), and ``repro.corpus.fuzz`` (the differential
-campaign cross-checking encodings).
+The symbolic backend's reason to exist is scale: models whose domain
+product can never be enumerated.  These tests pin the entry points that
+hand such models to the symbolic machinery — ``analyze_app`` (wide single
+apps), ``analyze_environment``/``sweep_environments`` (forced backends),
+and ``sweep_dataset(all_corpus=True)`` (the 82-app union via the
+dataset-level CLI).
 """
 
 import pytest
@@ -90,34 +90,41 @@ class TestSingleAppSymbolic:
         assert "skipped checks" not in render_report(explicit)
 
     @pytest.mark.parametrize(
-        ("knob", "value", "message"),
+        ("knob", "value", "error", "message", "cli_message"),
         [
-            ("backend", "quantum", "unknown backend 'quantum'; expected one "
-             "of auto, explicit, symbolic"),
-            ("backend", "bmc", "unknown backend 'bmc'; expected one "
-             "of auto, explicit, symbolic"),
-            ("backend", "portfolio", "unknown backend 'portfolio'; expected "
-             "one of auto, explicit, symbolic"),
-            ("encoding", "fused", "unknown encoding 'fused'; expected one "
-             "of auto, monolithic, partitioned"),
-            ("kernel", "zdd", "unknown kernel 'zdd': expected one of auto, "
-             "reference, fast"),
+            ("backend", "quantum", ValueError, "unknown backend 'quantum'; "
+             "expected one of auto, explicit, symbolic", "invalid choice"),
+            ("backend", "bmc", ValueError, "unknown backend 'bmc'; expected "
+             "one of auto, explicit, symbolic", "invalid choice"),
+            ("backend", "portfolio", ValueError, "unknown backend "
+             "'portfolio'; expected one of auto, explicit, symbolic",
+             "invalid choice"),
+            ("kernel", "zdd", ValueError, "unknown kernel 'zdd': expected "
+             "one of auto, reference, fast", "invalid choice"),
+            # The retired relation-encoding knob is no knob at all.
+            ("encoding", "partitioned", TypeError, "{fn}() got an "
+             "unexpected keyword argument 'encoding'",
+             "unrecognized arguments: --encoding partitioned"),
         ],
-        ids=["backend", "backend-bmc", "backend-portfolio", "encoding", "kernel"],
+        ids=["backend", "backend-bmc", "backend-portfolio", "kernel",
+             "encoding-removed"],
     )
-    def test_unknown_knob_rejected(self, knob, value, message, capsys):
+    def test_unknown_knob_rejected(
+        self, knob, value, error, message, cli_message, capsys
+    ):
         # CheckConfig validates on construction, so the facade and every
         # driver built on it reject a misspelled knob the same way.
-        with pytest.raises(ValueError) as config_error:
+        with pytest.raises(error) as config_error:
             CheckConfig(**{knob: value})
-        with pytest.raises(ValueError) as facade_error:
+        with pytest.raises(error) as facade_error:
             analyze_app(_wide_app(2), **{knob: value})
-        assert str(config_error.value) == str(facade_error.value) == message
-        # The CLI flag's choices reject it as a usage error (exit 2).
+        assert str(config_error.value) == message.format(fn="CheckConfig.__init__")
+        assert str(facade_error.value) == message.format(fn="analyze_app")
+        # The CLI rejects it as a usage error (exit 2).
         with pytest.raises(SystemExit) as cli_exit:
             main(["env", "a.groovy", "b.groovy", f"--{knob}", value])
         assert cli_exit.value.code == 2
-        assert "invalid choice" in capsys.readouterr().err
+        assert cli_message in capsys.readouterr().err
 
     def test_report_names_the_backend_and_exports_are_guarded(
         self, tmp_path, capsys
@@ -139,70 +146,52 @@ class TestSingleAppSymbolic:
         assert not dot.exists() and not smv.exists()
 
 
-class TestEnvironmentEncodingKnob:
+class TestEnvironmentBackendKnob:
     GROUP = ("App12", "App13", "App14")  # MalIoT smoke/lock chain
 
     def _members(self):
         analyses = analyze_batch(list(self.GROUP), jobs=1)
         return [analyses[a] for a in self.GROUP]
 
-    def test_encoding_recorded_and_forced(self):
+    def test_encoding_is_derived_from_the_backend(self):
         members = self._members()
         explicit = analyze_environment(list(members), backend="explicit")
         assert explicit.encoding is None            # no relation encoded
-        for encoding in ("monolithic", "partitioned"):
-            run = analyze_environment(
-                list(members), backend="symbolic", encoding=encoding
-            )
-            assert run.encoding == encoding
-            assert run.violated_ids() == explicit.violated_ids()
+        run = analyze_environment(list(members), backend="symbolic")
+        assert run.encoding == "partitioned"
+        assert run.violated_ids() == explicit.violated_ids()
 
-    def test_unknown_encoding_rejected(self):
-        with pytest.raises(ValueError):
-            analyze_environment(
-                self._members(), backend="symbolic", encoding="fused"
-            )
-
-    def test_bogus_encoding_rejected_even_when_explicit_resolves(self):
-        # A typo must fail fast, not silently succeed because this
-        # particular group happened to stay under the explicit budget.
-        with pytest.raises(ValueError):
-            analyze_environment(self._members(), encoding="partitoned")
-        with pytest.raises(ValueError):
-            analyze_app(_wide_app(2), encoding="partitoned")
-
-    def test_sweep_cache_keyed_on_backend_and_encoding(self, tmp_path):
-        # A forced-encoding validation run must never be served a result
-        # the auto path produced (it would silently skip the encoder
+    def test_sweep_cache_keyed_on_backend(self, tmp_path):
+        # A forced-backend validation run must never be served a result
+        # the auto path produced (it would silently skip the checker
         # under test and mislabel the output).
         first = sweep_environments([self.GROUP], jobs=1, cache_dir=tmp_path)
         assert not first[0].cached
+        assert first[0].environment.backend == "explicit"
         warm = sweep_environments([self.GROUP], jobs=1, cache_dir=tmp_path)
         assert warm[0].cached
-        partitioned = CheckConfig("symbolic", encoding="partitioned")
+        symbolic = CheckConfig("symbolic")
         forced = sweep_environments(
-            [self.GROUP], jobs=1, cache_dir=tmp_path, config=partitioned
+            [self.GROUP], jobs=1, cache_dir=tmp_path, config=symbolic
         )
         assert not forced[0].cached
-        assert forced[0].environment.encoding == "partitioned"
+        assert forced[0].environment.backend == "symbolic"
         assert forced[0].violated_ids() == warm[0].violated_ids()
         # ... and the forced run caches under its own key.
         forced_warm = sweep_environments(
-            [self.GROUP], jobs=1, cache_dir=tmp_path, config=partitioned
+            [self.GROUP], jobs=1, cache_dir=tmp_path, config=symbolic
         )
         assert forced_warm[0].cached
 
     def test_member_analyses_inherit_forced_knobs(self):
-        # Regression: analyze_environment(sources, backend=..., encoding=...)
+        # Regression: analyze_environment(sources, backend=...)
         # used to analyze raw-source members with the *default* knobs —
         # a forced-symbolic environment run silently built each member's
         # explicit model anyway.
         from repro.corpus.loader import load_source
 
         sources = [load_source(app_id) for app_id in self.GROUP]
-        env = analyze_environment(
-            sources, backend="symbolic", encoding="partitioned"
-        )
+        env = analyze_environment(sources, backend="symbolic")
         assert env.backend == "symbolic"
         for member in env.analyses:
             assert member.backend == "symbolic"
@@ -212,10 +201,9 @@ class TestEnvironmentEncodingKnob:
             # surfaced instead of dropped.
             assert member.skipped_properties == ["DET"]
 
-    def test_sweep_threads_encoding_to_every_group(self):
+    def test_sweep_threads_backend_to_every_group(self):
         outcomes = sweep_environments(
-            [self.GROUP], jobs=1,
-            config=CheckConfig("symbolic", encoding="partitioned"),
+            [self.GROUP], jobs=1, config=CheckConfig("symbolic")
         )
         (outcome,) = outcomes
         assert outcome.environment.backend == "symbolic"
@@ -241,7 +229,7 @@ class TestAllCorpusSweep:
     def test_cli_all_corpus_flag(self, capsys):
         code = main(
             ["sweep", "maliot", "--all-corpus", "--jobs", "1",
-             "--backend", "symbolic", "--encoding", "partitioned"]
+             "--backend", "symbolic"]
         )
         out = capsys.readouterr().out
         assert code == 1                            # violations found
@@ -250,28 +238,3 @@ class TestAllCorpusSweep:
         assert "[symbolic/partitioned/fast]" in out
         assert "0 failed" in out
 
-
-class TestFuzzEncodingAxis:
-    def test_campaign_cross_checks_both_encodings(self):
-        from repro.corpus.fuzz import FuzzConfig, run_fuzz
-
-        report = run_fuzz(
-            seed=11, count=3, jobs=1, config=FuzzConfig(encoding="both")
-        )
-        assert report.config.encoding == "both"
-        assert report.ok, [r.detail for r in report.failures()]
-
-    def test_reproducer_records_the_encoding(self, tmp_path):
-        import json
-
-        from repro.corpus.fuzz import CaseResult, FuzzConfig, write_reproducer
-
-        result = CaseResult(
-            index=0, kind="app", app_ids=("GenX",), sources=("src",),
-            injected=(), detected=(), status="mismatch", detail="d",
-        )
-        directory = write_reproducer(
-            result, FuzzConfig(encoding="both"), tmp_path
-        )
-        meta = json.loads((directory / "meta.json").read_text())
-        assert meta["config"]["encoding"] == "both"

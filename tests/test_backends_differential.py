@@ -3,8 +3,7 @@
 The symbolic (BDD) backend exists so oversized interaction clusters can be
 checked at all — which only counts if it is *trustworthy*.  This suite
 runs every Table-4 group and every MalIoT environment through both
-backends — and through *both symbolic relation encodings* (monolithic
-and partitioned), a three-way differential — and asserts
+backends and asserts
 
 * identical violation sets — same (property, devices) pairs, and
 * property-level agreement per formula: for every catalog property, the
@@ -74,82 +73,6 @@ def test_same_state_estimate(group):
     # symbolic backend reports without ever enumerating it.
     assert explicit.union_model.size() == explicit.state_estimate
     assert symbolic.union_model.states == []
-
-
-_THREE_WAY_CACHE: dict = {}
-
-
-def _three_way(group):
-    """Explicit vs symbolic/monolithic vs symbolic/partitioned.
-
-    Cached per group: the two three-way test functions share one run of
-    the suite's most expensive section (3 model-checking passes/group).
-    """
-    key = tuple(group)
-    if key in _THREE_WAY_CACHE:
-        return _THREE_WAY_CACHE[key]
-    analyses = analyze_batch(list(group), jobs=1)
-    members = [analyses[app_id] for app_id in group]
-    explicit = analyze_environment(list(members), backend="explicit")
-    runs = {"explicit": explicit}
-    for encoding in ("monolithic", "partitioned"):
-        run = analyze_environment(
-            list(members), backend="symbolic", encoding=encoding
-        )
-        assert run.backend == "symbolic"
-        assert run.encoding == encoding       # forced, not auto-resolved
-        assert run.kripke is None
-        runs[encoding] = run
-    _THREE_WAY_CACHE[key] = runs
-    return runs
-
-
-@pytest.mark.parametrize("group", PAPER_GROUPS)
-def test_three_way_identical_violation_sets(group):
-    """Both relation encodings must match the explicit oracle exactly."""
-    runs = _three_way(group)
-    key = lambda v: (v.property_id, v.devices)  # noqa: E731
-    reference = sorted(key(v) for v in runs["explicit"].violations)
-    for encoding in ("monolithic", "partitioned"):
-        found = sorted(key(v) for v in runs[encoding].violations)
-        assert found == reference, encoding
-
-
-@pytest.mark.parametrize("group", PAPER_GROUPS)
-def test_three_way_per_formula_agreement(group):
-    runs = _three_way(group)
-    explicit = runs["explicit"]
-    for encoding in ("monolithic", "partitioned"):
-        symbolic = runs[encoding]
-        assert explicit.checked_properties == symbolic.checked_properties
-        assert explicit.check_results.keys() == symbolic.check_results.keys()
-        for property_id, explicit_results in explicit.check_results.items():
-            symbolic_results = symbolic.check_results[property_id]
-            assert len(explicit_results) == len(symbolic_results), (
-                encoding, property_id
-            )
-            for exp, sym in zip(explicit_results, symbolic_results):
-                assert exp.formula == sym.formula, (encoding, property_id)
-                assert exp.holds == sym.holds, (
-                    encoding, property_id, str(exp.formula)
-                )
-
-
-def test_partitioned_encoding_skips_the_monolithic_relation():
-    """The partitioned run must never build the fused relation BDD."""
-    ids, _prop = groundtruth.MALIOT_ENVIRONMENTS[0]
-    analyses = analyze_batch(list(ids), jobs=1)
-    from repro.model.encoder import SymbolicUnionModel
-    from repro.model.union import build_union_skeleton
-
-    skeleton = build_union_skeleton([analyses[a].model for a in ids])
-    symbolic = SymbolicUnionModel(skeleton, encoding="partitioned")
-    assert symbolic.relation is None
-    assert symbolic.partitions
-    monolithic = SymbolicUnionModel(skeleton, encoding="monolithic")
-    assert monolithic.relation is not None
-    assert monolithic.partitions is None
-    assert symbolic.state_count() == monolithic.state_count()
 
 
 def test_failing_symbolic_traces_are_decodable():

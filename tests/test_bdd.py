@@ -69,24 +69,6 @@ class TestQuantification:
         a = bdd.var("a")
         assert bdd.exists(["a"], a) == bdd.TRUE
 
-    def test_forall(self, bdd):
-        a, b = bdd.var("a"), bdd.var("b")
-        f = bdd.or_(a, b)
-        assert bdd.forall(["a"], f) == b
-
-    def test_rename(self, bdd):
-        a, c = bdd.var("a"), bdd.var("c")
-        f = bdd.rename(a, {"a": "c"})
-        assert f == c
-
-    def test_rename_swap_order_safe(self, bdd):
-        # Rename d -> a moves a node *up* the order; composition handles it.
-        d, b = bdd.var("d"), bdd.var("b")
-        f = bdd.and_(d, b)
-        g = bdd.rename(f, {"d": "a"})
-        assert bdd.evaluate(g, {"a": True, "b": True})
-        assert not bdd.evaluate(g, {"a": False, "b": True})
-
     def test_restrict(self, bdd):
         a, b = bdd.var("a"), bdd.var("b")
         f = bdd.and_(a, b)

@@ -268,7 +268,7 @@ class TestSweepTier:
     ):
         [outcome] = sweep_environments([self.GROUP], jobs=1)  # memory only
         digests = sorted(batch._source_digest(app_id) for app_id in self.GROUP)
-        knobs = {"backend": "auto", "encoding": "auto", "kernel": "auto"}
+        knobs = {"backend": "auto", "kernel": "auto"}
         ArtifactStore(tmp_path, version="0-stale").put(
             "sweep", artifact_key("sweep", digests, knobs), outcome.environment
         )

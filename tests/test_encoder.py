@@ -1,11 +1,14 @@
 """Symbolic union encoding: variable blocks, fragments, reachability.
 
-The encoder compiles app rules straight to a BDD relation — these tests
+The encoder compiles app rules straight to a partitioned BDD relation —
+these tests
 pin its structural guarantees (shared blocks for shared devices, no
 materialized product, reachable-state counts matching the explicit
 Kripke construction) independently of the CTL layer, which
 ``test_backends_differential`` cross-validates end to end.
 """
+
+import itertools
 
 from repro.mc.symbolic import SymbolicModelChecker
 from repro.model import (
@@ -86,7 +89,7 @@ class TestEncoding:
 
     def test_initial_states_are_the_domain_product(self):
         symbolic = encode_union([model_of(APP_A), model_of(APP_B)])
-        count = symbolic.bdd.count_sat(symbolic.initial) >> len(symbolic.yvars)
+        count = symbolic.bdd.count_sat(symbolic.initial)
         assert count == 8
 
     def test_fragments_cover_every_rule_event_value(self):
@@ -112,8 +115,7 @@ class TestEncoding:
         symbolic = encode_union([model_of(APP_A), model_of(APP_B)])
         bdd = symbolic.bdd
         no_succ = bdd.and_(
-            symbolic.reachable,
-            bdd.not_(bdd.exists(symbolic.yvars, symbolic.relation)),
+            symbolic.reachable, bdd.not_(symbolic.pre(symbolic.reachable))
         )
         assert no_succ == bdd.FALSE
 
@@ -134,77 +136,88 @@ class TestEncoding:
         assert any(label.startswith("attr:") for label in labels)
 
 
-class TestPartitionedEncoding:
-    """The disjunctive partition must be observationally identical to the
-    monolithic relation: same reachable sets, same frontiers, same images
-    — only the representation (and its scaling) differs."""
+class TestPartitionAgainstExplicitKripke:
+    """The partitioned relation must denote exactly the explicit Kripke
+    structure of the materialized union: same reachable nodes and labels,
+    frontiers equal to the BFS layers, and images/preimages equal to the
+    explicit successor/predecessor sets."""
 
     def _both(self):
         models = [model_of(APP_A), model_of(APP_B)]
-        mono = encode_union(models, encoding="monolithic")
-        part = encode_union(models, encoding="partitioned")
-        return mono, part
+        return encode_union(models), build_kripke(build_union_model(models))
 
-    def _count(self, symbolic, f):
-        return symbolic.bdd.count_sat(f) >> len(symbolic.yvars)
+    @staticmethod
+    def _decoded(symbolic, f):
+        """(state, labels) of every node in ``f`` restricted to the
+        reachable set (unused fragment codes decode to no real node)."""
+        f = symbolic.bdd.and_(f, symbolic.reachable)
+        nodes = set()
+        names = symbolic.xvars
+        for bits in itertools.product((False, True), repeat=len(names)):
+            assignment = dict(zip(names, bits))
+            if symbolic.bdd.evaluate(f, assignment):
+                node, labels = symbolic.decode(assignment)
+                nodes.add((node.state, labels))
+        return nodes
 
-    def test_partitions_replace_the_relation(self):
-        mono, part = self._both()
-        assert mono.relation is not None and mono.partitions is None
-        assert part.relation is None and part.partitions
-        assert part.encoding == "partitioned"
-        assert mono.encoding == "monolithic"
+    @staticmethod
+    def _keys(kripke, nodes):
+        return {(node.state, kripke.labels[node]) for node in nodes}
 
-    def test_reachable_and_frontiers_agree(self):
-        mono, part = self._both()
-        assert mono.state_count() == part.state_count()
-        assert len(mono.frontiers) == len(part.frontiers)
-        for ring_m, ring_p in zip(mono.frontiers, part.frontiers):
-            assert self._count(mono, ring_m) == self._count(part, ring_p)
-
-    def test_images_and_preimages_agree(self):
-        mono, part = self._both()
-        assert self._count(mono, mono.post(mono.initial)) == self._count(
-            part, part.post(part.initial)
+    def test_reachable_and_proposition_counts_match(self):
+        symbolic, kripke = self._both()
+        assert symbolic.state_count() == len(kripke.states)
+        assert self._decoded(symbolic, symbolic.reachable) == self._keys(
+            kripke, kripke.states
         )
-        assert self._count(mono, mono.pre(mono.reachable)) == self._count(
-            part, part.pre(part.reachable)
-        )
+        assert symbolic.prop_map.keys() >= kripke.atoms()
+        for name in symbolic.prop_map:
+            labelled = [n for n in kripke.states if name in kripke.labels[n]]
+            in_symbolic = symbolic.bdd.and_(symbolic.reachable, symbolic.prop(name))
+            assert symbolic.bdd.count_sat(in_symbolic) == len(labelled), name
 
-    def test_per_proposition_reachable_counts_agree(self):
-        mono, part = self._both()
-        assert mono.prop_map.keys() == part.prop_map.keys()
-        for name in mono.prop_map:
-            in_mono = mono.bdd.and_(mono.reachable, mono.prop(name))
-            in_part = part.bdd.and_(part.reachable, part.prop(name))
-            assert self._count(mono, in_mono) == self._count(part, in_part), name
+    def test_frontiers_are_the_bfs_layers(self):
+        symbolic, kripke = self._both()
+        layers = [list(kripke.initial)]
+        seen = set(kripke.initial)
+        while True:
+            ring = {d for n in layers[-1] for d in kripke.succ[n]} - seen
+            if not ring:
+                break
+            seen |= ring
+            layers.append(sorted(ring, key=repr))
+        assert [self._decoded(symbolic, ring) for ring in symbolic.frontiers] == [
+            self._keys(kripke, layer) for layer in layers
+        ]
+
+    def test_images_match_explicit_successors_and_predecessors(self):
+        symbolic, kripke = self._both()
+        preds = kripke.predecessors()
+        by_key = {(n.state, kripke.labels[n]): n for n in kripke.states}
+        names = symbolic.xvars
+        for bits in itertools.product((False, True), repeat=len(names)):
+            assignment = dict(zip(names, bits))
+            if not symbolic.bdd.evaluate(symbolic.reachable, assignment):
+                continue
+            decoded, labels = symbolic.decode(assignment)
+            node = by_key[(decoded.state, labels)]
+            cube = symbolic.state_cube(assignment)
+            post = self._decoded(symbolic, symbolic.post(cube))
+            assert post == self._keys(kripke, kripke.succ[node])
+            assert post  # every reachable state has a successor
+            pre = self._decoded(symbolic, symbolic.pre(cube))
+            assert pre == self._keys(kripke, preds[node])
 
     def test_partition_fragments_only_touch_their_own_blocks(self):
-        _mono, part = self._both()
-        for partition in part.partitions:
-            support = part.bdd.support(partition.write_x)
+        symbolic, _kripke = self._both()
+        for partition in symbolic.partitions:
+            support = symbolic.bdd.support(partition.write_x)
             assert support <= set(partition.quant_x), (
                 "write cube mentions variables outside the written blocks"
             )
 
-    def test_auto_resolution_by_fragment_count(self):
-        from repro.model.encoder import (
-            PARTITION_FRAGMENT_THRESHOLD,
-            resolve_encoding,
-        )
 
-        assert resolve_encoding("auto", 1) == "monolithic"
-        assert (
-            resolve_encoding("auto", PARTITION_FRAGMENT_THRESHOLD + 1)
-            == "partitioned"
-        )
-        assert resolve_encoding("monolithic", 10_000) == "monolithic"
-        assert resolve_encoding("partitioned", 1) == "partitioned"
-        import pytest as _pytest
-
-        with _pytest.raises(ValueError):
-            resolve_encoding("fused", 1)
-
+class TestWrittenOverride:
     SELF_WRITER = '''
 definition(name: "AppC")
 preferences { section("s") {

@@ -109,13 +109,17 @@ class TestReproducers:
         reproduced, message = replay(directory)
         assert not reproduced
         assert "did not reproduce" in message
-        # Older reproducers may also record a "backend" knob; replay
-        # runs the same explicit/symbolic differential over them.
+        # Older reproducers may also record "backend" or "encoding"
+        # knobs; replay runs the same explicit/symbolic differential
+        # over them.
         meta_path = directory / "meta.json"
-        meta = json.loads(meta_path.read_text())
-        meta["config"]["backend"] = "both"
-        meta_path.write_text(json.dumps(meta))
-        assert replay(directory) == (reproduced, message)
+        for knob, value in (
+            ("backend", "both"), ("encoding", "monolithic"), ("encoding", "both"),
+        ):
+            meta = json.loads(meta_path.read_text())
+            meta["config"][knob] = value
+            meta_path.write_text(json.dumps(meta))
+            assert replay(directory) == (reproduced, message), (knob, value)
 
     def test_replay_empty_directory(self, tmp_path):
         reproduced, message = replay(tmp_path)

@@ -1,6 +1,6 @@
 """The BDD-kernel knob end to end: recording, forcing, cache isolation.
 
-The kernel is an analysis knob like backend/encoding: it selects which
+The kernel is an analysis knob like the backend: it selects which
 BDD manager the symbolic checker runs on (the array-backed fast core by
 default, the reference dict-of-nodes manager as the differential
 oracle).  These tests pin that the knob is recorded on every result,

@@ -63,7 +63,6 @@ class TestArtifactKey:
         base = CheckConfig()
         changed = {
             "backend": "symbolic",
-            "encoding": "partitioned",
             "kernel": "reference",
             "max_union_states": 100,
         }

@@ -2,8 +2,8 @@
 
 Reordering is an *in-place* transformation of the shared node table —
 every node id must keep denoting the same boolean function, the unique
-table must stay canonical, and the encoder's interleaved x/y pairing
-invariant must survive any sequence of group moves.  These are
+table must stay canonical, and the encoded union must keep its
+reachable set across any sequence of group moves.  These are
 property-style tests: random formulas, random assignments, forced sifts.
 """
 
@@ -182,7 +182,7 @@ class TestCollection:
 
 
 # ----------------------------------------------------------------------
-# The encoder's pairing invariant under forced reordering
+# The encoded union under forced reordering
 # ----------------------------------------------------------------------
 APP_A = '''
 definition(name: "AppA")
@@ -209,39 +209,23 @@ def _model_of(source):
     return extract_model(build_ir(SmartApp.from_source(source)))
 
 
-def _assert_interleaved(symbolic):
-    for xs, ys in zip(symbolic._xbits, symbolic._ybits):
-        for xname, yname in zip(xs, ys):
-            assert symbolic.bdd.level_of(yname) == symbolic.bdd.level_of(xname) + 1
-    for xname, yname in zip(symbolic._frag_x, symbolic._frag_y):
-        assert symbolic.bdd.level_of(yname) == symbolic.bdd.level_of(xname) + 1
-
-
 class TestEncoderReordering:
-    @pytest.mark.parametrize("encoding", ["monolithic", "partitioned"])
-    def test_forced_sift_preserves_interleaving_and_state_count(self, encoding):
+    def test_forced_sift_preserves_state_count(self):
         models = [_model_of(APP_A), _model_of(APP_B)]
-        symbolic = encode_union(models, encoding=encoding)
+        symbolic = encode_union(models)
         reference = symbolic.state_count()
         symbolic.bdd.sift(symbolic.reorder_groups())
-        _assert_interleaved(symbolic)
         assert symbolic.state_count() == reference
         kripke = build_kripke(build_union_model(models))
         assert symbolic.state_count() == len(kripke.states)
 
-    @pytest.mark.parametrize("encoding", ["monolithic", "partitioned"])
-    def test_low_threshold_triggers_reorder_during_construction(self, encoding):
+    def test_low_threshold_triggers_reorder_during_construction(self):
         skeleton = build_union_skeleton([_model_of(APP_A), _model_of(APP_B)])
-        symbolic = SymbolicUnionModel(
-            skeleton, encoding=encoding, reorder_threshold=2
-        )
+        symbolic = SymbolicUnionModel(skeleton, reorder_threshold=2)
         # Either collection alone absorbed the growth or a sift ran;
         # in both cases the encoded model must be intact.
-        reference = SymbolicUnionModel(
-            skeleton, encoding=encoding, reorder_threshold=None
-        )
+        reference = SymbolicUnionModel(skeleton, reorder_threshold=None)
         assert symbolic.state_count() == reference.state_count()
-        _assert_interleaved(symbolic)
 
 
 # ----------------------------------------------------------------------
@@ -296,7 +280,7 @@ class TestCacheInvalidationAcrossKernels:
 
     @pytest.mark.parametrize("seed", range(6))
     def test_quantification_caches_invalidated_by_swap(self, kernel_name, seed):
-        # The fast kernel memoizes exists/and_exists per quantifier-mask
+        # The fast kernel memoizes exists/and_exists_list per quantifier-mask
         # across calls; masks are level-based, so a swap that moves
         # levels MUST invalidate them.  Pose the identical query before
         # and after a swap and compare against an untouched twin kernel.
@@ -323,7 +307,7 @@ class TestCacheInvalidationAcrossKernels:
         ]
 
         def snapshot(manager, left, right):
-            fused = manager.and_exists(quantified, left, right)
+            fused = manager.and_exists_list(quantified, [left, right])
             lone = manager.exists(quantified, manager.and_(left, right))
             assert fused == lone
             return [manager.evaluate(fused, a) for a in assignments]

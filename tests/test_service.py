@@ -251,9 +251,7 @@ class TestServiceCore:
 
 class TestProcessPool:
     def test_worker_payload_and_result_are_picklable(self, tmp_path):
-        config = CheckConfig(
-            encoding="partitioned", kernel="reference", max_union_states=64
-        )
+        config = CheckConfig(kernel="reference", max_union_states=64)
         args = ([("Bad", BAD)], "app", config, str(tmp_path / "cache"))
         # What the pool ships, CheckConfig included, survives the trip.
         assert pickle.loads(pickle.dumps(args)) == args
@@ -534,6 +532,10 @@ class TestFleetViews:
         assert _post(server, "/v1/fleet", {"backend": "portfolio"})[0] == 400
         # Bad requests publish nothing.
         assert _get(server, "/v1/fleet")[0] == 404
+        # The retired relation-encoding knob is ignored like any unknown key.
+        body = {"households": 20, "templates": 2, "variants": 1,
+                "encoding": "monolithic"}
+        assert _post(server, "/v1/fleet", body)[0] == 200
 
     def test_screen_publishes_telemetry_and_blocklist(self, server):
         status, payload = _post(

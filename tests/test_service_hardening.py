@@ -20,6 +20,7 @@ import http.client
 import inspect
 import json
 import os
+import signal
 import socket
 import threading
 import time
@@ -64,7 +65,6 @@ def _done_fields() -> dict:
         "checked_properties": [],
         "skipped_properties": [],
         "resolved_backend": "explicit",
-        "resolved_encoding": "-",
         "resolved_kernel": "-",
         "kernel_stats": None,
         "state_estimate": 1,
@@ -640,11 +640,16 @@ class TestJobTtlGc:
         jobs_dir.mkdir()
         legacy = asdict(self._record("Legacy", status="done", updated_at=0))
         knobs = legacy.pop("config")  # the top-level knob shape
-        legacy.update(backend=knobs["backend"], encoding=knobs["encoding"],
+        legacy.update(backend=knobs["backend"], encoding="auto",
                       kernel=knobs["kernel"])
         retired = asdict(self._record("Retired", status="done", updated_at=0))
         retired["config"]["backend"] = "portfolio"  # not a backend
-        for name, data in (("legacy", legacy), ("retired", retired)):
+        encoded = asdict(self._record("Encoded", status="done", updated_at=0))
+        encoded["config"]["encoding"] = "monolithic"  # not a config field
+        encoded["resolved_encoding"] = "monolithic"
+        for name, data in (
+            ("legacy", legacy), ("retired", retired), ("encoded", encoded),
+        ):
             (jobs_dir / f"{name}.json").write_text(json.dumps(data))
         # Torn files have no readable updated_at: they age by mtime.
         stale = jobs_dir / "stale.json"
@@ -657,7 +662,7 @@ class TestJobTtlGc:
         # Every expired file is reaped whether or not it loads; the
         # unexpired torn one is skipped, and startup survives them all.
         assert list(jobs_dir.glob("*.json")) == [fresh]
-        assert reborn.expired_total == 3
+        assert reborn.expired_total == 4
         assert reborn.counts()["total"] == 0
 
     def test_service_resubmission_after_gc_reruns_cleanly(
@@ -779,6 +784,40 @@ class TestWaiterBurstAcceptance:
             server.shutdown()
             server.server_close()
             thread.join(timeout=5)
+
+
+# ----------------------------------------------------------------------
+# A dead process-pool worker
+# ----------------------------------------------------------------------
+class TestBrokenProcessPool:
+    def test_dead_worker_does_not_fail_later_jobs(self):
+        # A killed worker breaks a ProcessPoolExecutor for good: every
+        # later submit raises BrokenProcessPool.  The service must swap
+        # in a fresh pool instead of failing every job after the death.
+        service = SoteriaService(pool="process", jobs=1)
+        try:
+            if service.pool_kind != "process":
+                pytest.skip("multiprocessing is unavailable here")
+            first, _ = service.submit([("Good", GOOD)])
+            assert service.wait(first.id, timeout=60).status == "done"
+            broken = service._process_pool
+            for pid in list(broken._processes):
+                os.kill(pid, signal.SIGKILL)
+            deadline = time.monotonic() + 30
+            while not broken._broken and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert broken._broken, "the pool never noticed its dead worker"
+
+            for name in ("Next", "Later"):
+                record, created = service.submit(
+                    [(name, GOOD.replace('"Good"', f'"{name}"'))]
+                )
+                assert created
+                final = service.wait(record.id, timeout=60)
+                assert final.status == "done", final.error
+            assert service._process_pool is not broken
+        finally:
+            service.shutdown()
 
 
 # ----------------------------------------------------------------------

@@ -222,7 +222,7 @@ class TestSweepCli:
         # skipped for size; the auto backend now checks it symbolically.
         assert "skipped" not in out
         assert "0 failed" in out
-        assert "[symbolic/monolithic/fast]" in out  # 13-app cluster, 70 fragments
+        assert "[symbolic/partitioned/fast]" in out  # the 13-app cluster
         assert "environment-only: P.14, P.3" in out
 
     def test_sweep_warm_cache_run_matches(self, tmp_path, capsys):
@@ -267,7 +267,7 @@ class TestSweepCli:
         )
         out = capsys.readouterr().out
         assert code == 1
-        assert "[symbolic/monolithic/fast]" in out  # tiny pairs stay monolithic
+        assert "[symbolic/partitioned/fast]" in out
         assert "App16+App17" in out
 
 

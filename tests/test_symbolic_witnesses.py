@@ -88,13 +88,12 @@ def test_ag_witnesses_are_explicit_paths(group):
     assert checked, "no AG witnesses found in a known-violating environment"
 
 
-@pytest.mark.parametrize("encoding", ["monolithic", "partitioned"])
-def test_reordering_mid_fixpoint_keeps_frontier_decoding_valid(encoding):
+def test_reordering_mid_fixpoint_keeps_frontier_decoding_valid():
     """Regression: dynamic reordering during the reachability fixpoint
     must not corrupt the BFS frontiers that witness extraction decodes.
 
     A node-count threshold of 2 forces sifting to run repeatedly while
-    the relation is encoded and the frontiers are grown; every decoded
+    the partition is built and the frontiers are grown; every decoded
     frontier state and every AG witness walked back over those frontiers
     must still be a real node/path of the explicit Kripke structure.
     """
@@ -102,7 +101,6 @@ def test_reordering_mid_fixpoint_keeps_frontier_decoding_valid(encoding):
     members, nodes, edges, initial = _explicit_graph(group)
     symbolic = SymbolicUnionModel(
         build_union_skeleton([m.model for m in members]),
-        encoding=encoding,
         reorder_threshold=2,
     )
     assert symbolic.bdd.reorder_count >= 1, "no reorder ran — test is vacuous"

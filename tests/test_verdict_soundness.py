@@ -5,8 +5,8 @@ share a bug agree too.  This suite pins the *right answer* instead: on a
 union small enough to reason about by hand, every formula's verdict is
 fixed in the case table below, with the reason it holds or fails, and
 every engine configuration the pipeline can run — the explicit checker
-and the symbolic checker under both relation encodings and both BDD
-kernels — must return exactly that verdict.
+and the symbolic checker on both BDD kernels — must return exactly
+that verdict.
 
 The union: ``LeakOff`` turns the switch off when the water sensor turns
 wet; ``MotionOn`` turns it on when motion turns active.  Every
@@ -97,9 +97,7 @@ CASES = [
 ]
 
 ENGINES = ["explicit"] + [
-    f"symbolic-{encoding}-{kernel}"
-    for encoding in ("monolithic", "partitioned")
-    for kernel in ("reference", "fast")
+    f"symbolic-{kernel}" for kernel in ("reference", "fast")
 ]
 
 
@@ -123,9 +121,9 @@ def engines(union):
     skeleton, kripke, oracle = union
     checkers = {"explicit": ExplicitChecker(kripke)}
     for name in ENGINES[1:]:
-        _symbolic, encoding, kernel = name.split("-")
+        _symbolic, kernel = name.split("-")
         checkers[name] = SymbolicModelChecker(
-            SymbolicUnionModel(skeleton, encoding=encoding, kernel=kernel)
+            SymbolicUnionModel(skeleton, kernel=kernel)
         )
     return checkers
 
