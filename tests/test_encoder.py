@@ -10,6 +10,8 @@ Kripke construction) independently of the CTL layer, which
 
 import itertools
 
+import pytest
+
 from repro.mc.symbolic import SymbolicModelChecker
 from repro.model import (
     build_kripke,
@@ -40,6 +42,35 @@ preferences { section("s") {
 def installed() { subscribe(ms, "motion.active", h) }
 def h(evt) { sw.on() }
 '''
+
+
+APP_C = '''
+definition(name: "AppC")
+preferences { section("s") {
+    input "sw", "capability.switch"
+    input "ms", "capability.motionSensor"
+    input "vd", "capability.valve"
+} }
+def installed() {
+    subscribe(ms, "motion.active", h1)
+    subscribe(sw, "switch.on", h2)
+}
+def h1(evt) { sw.on() }
+def h2(evt) { vd.open() }
+'''
+
+VALVE_ON_LEAK = '''
+definition(name: "Conflict")
+preferences { section("s") {
+    input "ws", "capability.waterSensor"
+    input "vd", "capability.valve"
+} }
+def installed() { subscribe(ws, "water.wet", h) }
+def h(evt) { vd.open() }
+'''
+
+#: The BDD kernels every encoder image is checked on.
+KERNELS = ["reference", "fast"]
 
 
 def model_of(source: str):
@@ -136,15 +167,31 @@ class TestEncoding:
         assert any(label.startswith("attr:") for label in labels)
 
 
+#: Unions whose partition is compared with the explicit Kripke
+#: structure: two apps fighting over one switch, one app re-stimulated by
+#: its own write, and two handlers on one shared leak event.
+UNIONS = [
+    pytest.param((APP_A, APP_B), id="switch-conflict"),
+    pytest.param((APP_C,), id="self-writer"),
+    pytest.param((APP_A, VALVE_ON_LEAK), id="shared-leak"),
+]
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+@pytest.mark.parametrize("sources", UNIONS)
 class TestPartitionAgainstExplicitKripke:
     """The partitioned relation must denote exactly the explicit Kripke
     structure of the materialized union: same reachable nodes and labels,
     frontiers equal to the BFS layers, and images/preimages equal to the
     explicit successor/predecessor sets."""
 
-    def _both(self):
-        models = [model_of(APP_A), model_of(APP_B)]
-        return encode_union(models), build_kripke(build_union_model(models))
+    @staticmethod
+    def _both(sources, kernel):
+        models = [model_of(source) for source in sources]
+        return (
+            encode_union(models, kernel=kernel),
+            build_kripke(build_union_model(models)),
+        )
 
     @staticmethod
     def _decoded(symbolic, f):
@@ -164,8 +211,10 @@ class TestPartitionAgainstExplicitKripke:
     def _keys(kripke, nodes):
         return {(node.state, kripke.labels[node]) for node in nodes}
 
-    def test_reachable_and_proposition_counts_match(self):
-        symbolic, kripke = self._both()
+    def test_reachable_and_proposition_counts_match(
+        self, sources, kernel
+    ):
+        symbolic, kripke = self._both(sources, kernel)
         assert symbolic.state_count() == len(kripke.states)
         assert self._decoded(symbolic, symbolic.reachable) == self._keys(
             kripke, kripke.states
@@ -176,8 +225,8 @@ class TestPartitionAgainstExplicitKripke:
             in_symbolic = symbolic.bdd.and_(symbolic.reachable, symbolic.prop(name))
             assert symbolic.bdd.count_sat(in_symbolic) == len(labelled), name
 
-    def test_frontiers_are_the_bfs_layers(self):
-        symbolic, kripke = self._both()
+    def test_frontiers_are_the_bfs_layers(self, sources, kernel):
+        symbolic, kripke = self._both(sources, kernel)
         layers = [list(kripke.initial)]
         seen = set(kripke.initial)
         while True:
@@ -190,8 +239,10 @@ class TestPartitionAgainstExplicitKripke:
             self._keys(kripke, layer) for layer in layers
         ]
 
-    def test_images_match_explicit_successors_and_predecessors(self):
-        symbolic, kripke = self._both()
+    def test_images_match_explicit_successors_and_predecessors(
+        self, sources, kernel
+    ):
+        symbolic, kripke = self._both(sources, kernel)
         preds = kripke.predecessors()
         by_key = {(n.state, kripke.labels[n]): n for n in kripke.states}
         names = symbolic.xvars
@@ -208,8 +259,10 @@ class TestPartitionAgainstExplicitKripke:
             pre = self._decoded(symbolic, symbolic.pre(cube))
             assert pre == self._keys(kripke, preds[node])
 
-    def test_partition_fragments_only_touch_their_own_blocks(self):
-        symbolic, _kripke = self._both()
+    def test_partition_fragments_only_touch_their_own_blocks(
+        self, sources, kernel
+    ):
+        symbolic, _kripke = self._both(sources, kernel)
         for partition in symbolic.partitions:
             support = symbolic.bdd.support(partition.write_x)
             assert support <= set(partition.quant_x), (
@@ -218,34 +271,22 @@ class TestPartitionAgainstExplicitKripke:
 
 
 class TestWrittenOverride:
-    SELF_WRITER = '''
-definition(name: "AppC")
-preferences { section("s") {
-    input "sw", "capability.switch"
-    input "ms", "capability.motionSensor"
-    input "vd", "capability.valve"
-} }
-def installed() {
-    subscribe(ms, "motion.active", h1)
-    subscribe(sw, "switch.on", h2)
-}
-def h1(evt) { sw.on() }
-def h2(evt) { vd.open() }
-'''
-
-    def test_written_override_disables_self_stimulation(self):
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_written_override_disables_self_stimulation(self, kernel):
         # AppC both writes sw.on() and subscribes to switch.on.  Under
         # union semantics (app-written values re-stimulate subscribers,
         # Sec. 4.4) the switch.on fragment fires even from states already
         # "on"; the single-app symbolic path passes written=frozenset()
         # to keep the explicit extractor's fire-on-change-only semantics.
-        model = model_of(self.SELF_WRITER)
+        model = model_of(APP_C)
         from repro.model import build_union_skeleton
         from repro.model.encoder import SymbolicUnionModel
 
         skeleton = build_union_skeleton([model])
-        cascading = SymbolicUnionModel(skeleton)
-        solo = SymbolicUnionModel(skeleton, written=frozenset())
+        cascading = SymbolicUnionModel(skeleton, kernel=kernel)
+        solo = SymbolicUnionModel(
+            skeleton, written=frozenset(), kernel=kernel
+        )
         sw = skeleton.attribute_index("sw", "switch")
         assert sw is not None
         for symbolic, refires in ((cascading, True), (solo, False)):
@@ -264,19 +305,10 @@ def h2(evt) { vd.open() }
             assert (arrived != symbolic.bdd.FALSE) is refires
 
 
+@pytest.mark.parametrize("kernel", KERNELS)
 class TestCheckerWitnesses:
-    CONFLICT = '''
-definition(name: "Conflict")
-preferences { section("s") {
-    input "ws", "capability.waterSensor"
-    input "vd", "capability.valve"
-} }
-def installed() { subscribe(ws, "water.wet", h) }
-def h(evt) { vd.open() }
-'''
-
-    def test_ag_counterexample_is_connected_and_decodable(self):
-        symbolic = encode_union([model_of(self.CONFLICT)])
+    def test_ag_counterexample_is_connected_and_decodable(self, kernel):
+        symbolic = encode_union([model_of(VALVE_ON_LEAK)], kernel=kernel)
         checker = SymbolicModelChecker(symbolic)
         result = checker.check("AG !act:vd.valve=open")
         assert not result.holds
@@ -286,17 +318,17 @@ def h(evt) { vd.open() }
         assert "act:vd.valve=open" in checker.labels[last]
         assert result.failing_states
 
-    def test_holding_formula_has_no_counterexample(self):
-        symbolic = encode_union([model_of(self.CONFLICT)])
+    def test_holding_formula_has_no_counterexample(self, kernel):
+        symbolic = encode_union([model_of(VALVE_ON_LEAK)], kernel=kernel)
         checker = SymbolicModelChecker(symbolic)
         result = checker.check("AG (attr:ws.water=wet | attr:ws.water=dry)")
         assert result.holds
         assert not result.counterexample
 
-    def test_af_lasso_extracted(self):
+    def test_af_lasso_extracted(self, kernel):
         # Once wet, the model deadlocks into a self-loop and never goes
         # dry again: AF dry fails with a lasso staying wet forever.
-        symbolic = encode_union([model_of(self.CONFLICT)])
+        symbolic = encode_union([model_of(VALVE_ON_LEAK)], kernel=kernel)
         checker = SymbolicModelChecker(symbolic)
         result = checker.check("AF attr:ws.water=dry")
         assert not result.holds
@@ -306,8 +338,8 @@ def h(evt) { vd.open() }
         for state in stem_and_loop:
             assert "attr:ws.water=wet" in checker.labels[state]
 
-    def test_unknown_prop_is_false_everywhere(self):
-        symbolic = encode_union([model_of(self.CONFLICT)])
+    def test_unknown_prop_is_false_everywhere(self, kernel):
+        symbolic = encode_union([model_of(VALVE_ON_LEAK)], kernel=kernel)
         checker = SymbolicModelChecker(symbolic)
         assert not checker.check("EF prop:never=seen").holds
         assert checker.check("AG !prop:never=seen").holds

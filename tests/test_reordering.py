@@ -209,22 +209,27 @@ def _model_of(source):
     return extract_model(build_ir(SmartApp.from_source(source)))
 
 
+@pytest.mark.parametrize("kernel", ["reference", "fast"])
 class TestEncoderReordering:
-    def test_forced_sift_preserves_state_count(self):
+    def test_forced_sift_preserves_state_count(self, kernel):
         models = [_model_of(APP_A), _model_of(APP_B)]
-        symbolic = encode_union(models)
+        symbolic = encode_union(models, kernel=kernel)
         reference = symbolic.state_count()
         symbolic.bdd.sift(symbolic.reorder_groups())
         assert symbolic.state_count() == reference
         kripke = build_kripke(build_union_model(models))
         assert symbolic.state_count() == len(kripke.states)
 
-    def test_low_threshold_triggers_reorder_during_construction(self):
+    def test_low_threshold_triggers_reorder_during_construction(self, kernel):
         skeleton = build_union_skeleton([_model_of(APP_A), _model_of(APP_B)])
-        symbolic = SymbolicUnionModel(skeleton, reorder_threshold=2)
+        symbolic = SymbolicUnionModel(
+            skeleton, reorder_threshold=2, kernel=kernel
+        )
         # Either collection alone absorbed the growth or a sift ran;
         # in both cases the encoded model must be intact.
-        reference = SymbolicUnionModel(skeleton, reorder_threshold=None)
+        reference = SymbolicUnionModel(
+            skeleton, reorder_threshold=None, kernel=kernel
+        )
         assert symbolic.state_count() == reference.state_count()
 
 

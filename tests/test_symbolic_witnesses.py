@@ -88,20 +88,23 @@ def test_ag_witnesses_are_explicit_paths(group):
     assert checked, "no AG witnesses found in a known-violating environment"
 
 
-def test_reordering_mid_fixpoint_keeps_frontier_decoding_valid():
+@pytest.mark.parametrize("kernel", ["reference", "fast"])
+@pytest.mark.parametrize("group", ENVIRONMENTS)
+def test_reordering_mid_fixpoint_keeps_frontier_decoding_valid(group, kernel):
     """Regression: dynamic reordering during the reachability fixpoint
     must not corrupt the BFS frontiers that witness extraction decodes.
 
     A node-count threshold of 2 forces sifting to run repeatedly while
-    the partition is built and the frontiers are grown; every decoded
-    frontier state and every AG witness walked back over those frontiers
-    must still be a real node/path of the explicit Kripke structure.
+    the partition is built and the frontiers are grown, on either
+    kernel; every decoded frontier state and every AG witness walked
+    back over those frontiers must still be a real node/path of the
+    explicit Kripke structure.
     """
-    group = tuple(groundtruth.MALIOT_ENVIRONMENTS[0][0])  # App12-14
     members, nodes, edges, initial = _explicit_graph(group)
     symbolic = SymbolicUnionModel(
         build_union_skeleton([m.model for m in members]),
         reorder_threshold=2,
+        kernel=kernel,
     )
     assert symbolic.bdd.reorder_count >= 1, "no reorder ran — test is vacuous"
 

@@ -5,8 +5,9 @@ share a bug agree too.  This suite pins the *right answer* instead: on a
 union small enough to reason about by hand, every formula's verdict is
 fixed in the case table below, with the reason it holds or fails, and
 every engine configuration the pipeline can run — the explicit checker
-and the symbolic checker on both BDD kernels — must return exactly
-that verdict.
+and the symbolic checker on both BDD kernels, once on the order it is
+built with and once with sifting forced on every step of construction
+— must return exactly that verdict.
 
 The union: ``LeakOff`` turns the switch off when the water sensor turns
 wet; ``MotionOn`` turns it on when motion turns active.  Every
@@ -97,8 +98,15 @@ CASES = [
 ]
 
 ENGINES = ["explicit"] + [
-    f"symbolic-{kernel}" for kernel in ("reference", "fast")
+    f"symbolic-{kernel}{suffix}"
+    for suffix in ("", "-sifted")
+    for kernel in ("reference", "fast")
 ]
+
+#: Node-table threshold of the ``-sifted`` engines: low enough that the
+#: kernel reorders its variables while the partition and the reachable
+#: set are built, so the verdicts cannot lean on the initial order.
+SIFTED_THRESHOLD = 2
 
 
 def _norm(node):
@@ -121,10 +129,15 @@ def engines(union):
     skeleton, kripke, oracle = union
     checkers = {"explicit": ExplicitChecker(kripke)}
     for name in ENGINES[1:]:
-        _symbolic, kernel = name.split("-")
-        checkers[name] = SymbolicModelChecker(
-            SymbolicUnionModel(skeleton, kernel=kernel)
+        _symbolic, kernel, *sifted = name.split("-")
+        symbolic = SymbolicUnionModel(
+            skeleton,
+            kernel=kernel,
+            **({"reorder_threshold": SIFTED_THRESHOLD} if sifted else {}),
         )
+        if sifted:
+            assert symbolic.bdd.reorder_count >= 1, f"{name}: no reorder ran"
+        checkers[name] = SymbolicModelChecker(symbolic)
     return checkers
 
 
