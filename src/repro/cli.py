@@ -98,6 +98,14 @@ from repro.reporting.smv import to_smv
 from repro.soteria import analyze_app, analyze_environment
 
 
+def _worker_count(text: str) -> int:
+    """``--jobs`` parser: a non-negative worker count (0/1 = serial)."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+    return value
+
+
 def _print_kernel_stats(aggregates: dict[str, dict] | None = None) -> None:
     """Render the process-wide BDD-kernel counters, cache-table style.
 
@@ -480,7 +488,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     p_corpus.add_argument(
         "--jobs",
-        type=int,
+        type=_worker_count,
         default=None,
         help="worker processes for the sweep (default: auto; 1 = serial)",
     )
@@ -502,7 +510,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     p_sweep.add_argument(
         "--jobs",
-        type=int,
+        type=_worker_count,
         default=None,
         help="worker processes for the sweep (default: auto; 1 = serial)",
     )
@@ -558,7 +566,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     p_fuzz.add_argument(
         "--jobs",
-        type=int,
+        type=_worker_count,
         default=None,
         help="worker processes (default: auto; 1 = serial)",
     )
@@ -632,9 +640,10 @@ def main(argv: list[str] | None = None) -> int:
     )
     p_fleet.add_argument(
         "--jobs",
-        type=int,
+        type=_worker_count,
         default=1,
-        help="work-stealing worker processes (default 1 = serial)",
+        help="worker processes for the household checks, in the pool "
+        "corpus, sweep and fuzz also use (default 1 = serial)",
     )
     p_fleet.add_argument(
         "--cache-dir",

@@ -46,7 +46,6 @@ from repro.corpus.batch import (
 from repro.corpus.loader import app_ids, load_app, load_source
 from repro.ir import build_ir
 from repro.model.extractor import StateExplosionError
-from repro.model.union import estimate_union_states
 from repro.pipeline.runner import pipeline_for
 from repro.pipeline.stages import CheckConfig
 from repro.pipeline.store import artifact_key, resolve_cache_dir
@@ -347,33 +346,18 @@ def sweep_environments(
     member_ids = list(dict.fromkeys(a for group in pending_groups for a in group))
     analyses = analyze_batch(member_ids, jobs=jobs, cache_dir=cache_dir)
 
-    # Budget-check in the parent only when the caller forces the explicit
-    # backend: the estimate is a cheap domain product over deduplicated
-    # attributes, so doomed groups are failed without shipping their
-    # analyses to any worker.  The StateExplosionError catch in
-    # union_outcome stays as the backstop.
+    # A group over an explicit budget fails inside union_outcome (the
+    # pipeline raises before enumerating anything), like any other error.
     worker_cache = None if disk_path is None else str(disk_path)
-    budget = config.max_union_states
-    payloads: list[
-        tuple[tuple[str, ...], list[AppAnalysis], CheckConfig, str | None]
-    ] = []
-    for group in pending_groups:
-        group_analyses = [analyses[app_id] for app_id in group]
-        if config.backend == "explicit" and budget is not None:
-            total = estimate_union_states([a.model for a in group_analyses])
-            if total > budget:
-                outcomes[group] = SweepOutcome(
-                    group=group,
-                    environment=None,
-                    error=f"union of {list(group)}: {total} states exceed budget",
-                )
-                continue
-        payloads.append((group, group_analyses, config, worker_cache))
+    payloads = [
+        (group, [analyses[app_id] for app_id in group], config, worker_cache)
+        for group in pending_groups
+    ]
 
     # min_parallel=2: a sweep payload is a whole union-model check, so
     # even two groups are worth a pool (unlike batch's cheap per-app jobs).
     worker_count = _resolve_jobs(jobs, len(payloads), min_parallel=2)
-    if len(payloads) > 1 and worker_count > 1:
+    if worker_count > 1:
         outcomes.update(run_in_pool(_sweep_worker, payloads, worker_count))
     for group, group_analyses, _config, group_cache in payloads:
         if group not in outcomes:

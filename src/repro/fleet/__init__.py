@@ -12,8 +12,9 @@ This package turns per-deployment analysis into fleet screening:
 * :mod:`repro.fleet.canon` — the cluster-canonical household form
   (capability/role-sorted app multiset + shared-channel shape) that maps
   isomorphic households onto one cache key;
-* :mod:`repro.fleet.driver` — the work-stealing screening driver with a
-  fleet-level verdict cache tier
+* :mod:`repro.fleet.driver` — the screening driver, fanning checks out
+  over the shared corpus worker pool, with a fleet-level verdict cache
+  tier
   (:class:`repro.corpus.diskcache.FleetCache`);
 * :mod:`repro.fleet.telemetry` / :mod:`repro.fleet.blocklist` — the
   aggregate counters and the blocklist feed of violating app

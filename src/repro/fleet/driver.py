@@ -10,11 +10,12 @@ comes from:
    stream onto few canonical households; only the first sighting of a
    key — after a probe of the store's ``fleet`` tier
    (:class:`repro.corpus.diskcache.FleetCache`) — costs a model check.
-3. **Sharded checking**: the distinct representatives run through a
-   work-stealing process pool (:class:`StealingScheduler` — per-worker
-   deques, steal-half on exhaustion, batched submission to amortize
-   IPC), each worker reusing warm per-app pipeline stages through the
-   process-shared :func:`~repro.pipeline.runner.pipeline_for`.
+3. **Sharded checking**: the distinct representatives fan out through
+   :func:`repro.corpus.batch.run_in_pool`, the best-effort process pool
+   the corpus batch, sweep and fuzz drivers share; each worker reuses
+   warm per-app pipeline stages through the process-shared
+   :func:`~repro.pipeline.runner.pipeline_for`, and any household the
+   pool does not return is checked serially in the parent.
 
 The check itself is the sweep engine's union outcome
 (:func:`repro.corpus.sweep.union_outcome`) under a *low*
@@ -32,17 +33,16 @@ hundred MB as screening 10k.
 Synthetic members are registered through the corpus loader under
 content-derived ids and the whole run is wrapped in
 :func:`~repro.corpus.loader.scoped_registration`, so a fleet screen
-leaves the process-wide registry exactly as it found it.
+leaves the process-wide registry exactly as it found it (pool workers
+are separate processes: their registrations never reach the parent).
 """
 
 from __future__ import annotations
 
-import multiprocessing
-import queue as queue_module
 import time
-from collections import deque
 from dataclasses import dataclass, field, replace
 
+from repro.corpus.batch import _resolve_jobs, run_in_pool
 from repro.corpus.diskcache import FleetCache
 from repro.corpus.loader import load_app, register_app, scoped_registration
 from repro.corpus.sweep import union_outcome
@@ -50,7 +50,6 @@ from repro.fleet.blocklist import build_blocklist, combo_label
 from repro.fleet.profiles import (
     FleetProfile,
     Household,
-    Member,
     TemplatePool,
     sample_stream,
 )
@@ -75,10 +74,6 @@ class FleetOptions(CheckConfig):
     max_union_states: int | None = FLEET_MAX_UNION_STATES
     jobs: int = 1
     cache_dir: str | None = None
-    #: Households per IPC submission (amortizes queue round trips).
-    batch_size: int = 16
-    #: Outstanding batches per worker before the parent stops feeding.
-    window: int = 2
 
 
 @dataclass
@@ -114,9 +109,8 @@ def check_household(
     ids, so re-binding is always identical) and parsed via
     :func:`~repro.corpus.loader.load_app` — corpus members and repeated
     synthetics share one parse per process.  Scoping the registration is
-    the *caller's* job: :func:`run_fleet` and the pool workers wrap
-    their whole lifetime, so per-household eviction never thrashes the
-    parse caches.
+    the *caller's* job: :func:`run_fleet` wraps its whole run, so
+    per-household eviction never thrashes the parse caches.
     """
     if pipeline is None:
         pipeline = pipeline_for(options.cache_dir)
@@ -157,145 +151,11 @@ def check_household(
     )
 
 
-# ======================================================================
-# Work-stealing process pool
-# ======================================================================
-def _fleet_worker_main(worker_id, task_queue, result_queue, options) -> None:
-    """Worker body: batches of (key, members) in, verdict lists out.
-
-    Each worker owns one process-shared pipeline (warm per-app stages
-    across every household it checks) and one registration scope for
-    its whole lifetime.  Nothing raised here may cross the queue as an
-    exception: per-household failures travel as error verdicts.
-    """
-    pipeline = pipeline_for(options.cache_dir)
-    with scoped_registration():
-        while True:
-            batch = task_queue.get()
-            if batch is None:
-                break
-            verdicts = []
-            for canonical_key, members in batch:
-                household = Household(
-                    template=-1,
-                    variant=-1,
-                    members=tuple(
-                        Member(app_id, source) for app_id, source in members
-                    ),
-                )
-                verdicts.append(
-                    check_household(household, canonical_key, options, pipeline)
-                )
-            result_queue.put((worker_id, verdicts))
-
-
-class StealingScheduler:
-    """Parent-coordinated work stealing over worker processes.
-
-    Tasks land on per-worker deques; the parent feeds each worker up to
-    ``window`` batches of ``batch_size`` households (batched submission
-    amortizes the IPC round trip), and when a worker's deque runs dry it
-    steals half of the longest deque's tail.  With one result queue the
-    parent is the only scheduler state holder — workers just loop
-    ``get -> check -> put``.
-
-    Best-effort like the batch driver's pool: any failure to spawn or a
-    wedged pool returns the verdicts collected so far and lets the
-    caller finish the remainder serially.
-    """
-
-    def __init__(self, options: FleetOptions):
-        self.options = options
-        self._deques: list[deque] = []
-        self._inflight: list[int] = []  # outstanding batches per worker
-        self._task_queues: list = []
-
-    # ------------------------------------------------------------------
-    def _feed(self, worker: int) -> None:
-        """Send batches until the worker's window is full (batched
-        submission: one queue put per ``batch_size`` households)."""
-        while self._inflight[worker] < self.options.window and self._deques[worker]:
-            size = min(self.options.batch_size, len(self._deques[worker]))
-            batch = [self._deques[worker].popleft() for _ in range(size)]
-            self._task_queues[worker].put(batch)
-            self._inflight[worker] += 1
-
-    def _steal(self, thief: int) -> None:
-        """Steal-half on exhaustion: take the back half of the longest
-        deque (the classic Chase–Lev split, parent-coordinated)."""
-        victim = max(
-            range(len(self._deques)), key=lambda w: len(self._deques[w])
-        )
-        if victim == thief or len(self._deques[victim]) < 2:
-            return
-        for _ in range(len(self._deques[victim]) // 2):
-            self._deques[thief].append(self._deques[victim].pop())
-
-    # ------------------------------------------------------------------
-    def run(self, tasks: list[tuple[str, tuple]]) -> list[HouseholdVerdict]:
-        """Check every task; returns the verdicts that completed (the
-        caller reconciles anything missing serially)."""
-        workers = min(max(2, self.options.jobs), len(tasks))
-        context = multiprocessing.get_context()
-        collected: list[HouseholdVerdict] = []
-        processes = []
-        try:
-            self._task_queues = [context.Queue() for _ in range(workers)]
-            result_queue = context.Queue()
-            for worker in range(workers):
-                process = context.Process(
-                    target=_fleet_worker_main,
-                    args=(
-                        worker,
-                        self._task_queues[worker],
-                        result_queue,
-                        self.options,
-                    ),
-                    daemon=True,
-                )
-                process.start()
-                processes.append(process)
-        except Exception:
-            for process in processes:
-                process.terminate()
-            return collected
-
-        self._deques = [deque() for _ in range(workers)]
-        self._inflight = [0] * workers
-        for index, task in enumerate(tasks):
-            self._deques[index % workers].append(task)
-        for worker in range(workers):
-            self._feed(worker)
-
-        stalls = 0
-        try:
-            while len(collected) < len(tasks):
-                try:
-                    worker, verdicts = result_queue.get(timeout=30.0)
-                except queue_module.Empty:
-                    if not any(process.is_alive() for process in processes):
-                        break  # pool died; caller finishes serially
-                    stalls += 1
-                    if stalls > 40:  # 20 minutes without progress
-                        break
-                    continue
-                stalls = 0
-                collected.extend(verdicts)
-                self._inflight[worker] -= 1
-                if not self._deques[worker]:
-                    self._steal(worker)
-                self._feed(worker)
-        finally:
-            for task_queue in self._task_queues:
-                try:
-                    task_queue.put(None)
-                except Exception:
-                    pass
-            for process in processes:
-                process.join(timeout=5.0)
-                if process.is_alive():
-                    process.terminate()
-        return collected
+def _household_worker(
+    canonical_key: str, household: Household, options: FleetOptions
+) -> tuple[str, HouseholdVerdict]:
+    """Pool entry: check one representative household."""
+    return canonical_key, check_household(household, canonical_key, options)
 
 
 # ======================================================================
@@ -354,33 +214,26 @@ def run_fleet(
 
         # Layer 3: check each pending key's canonical representative
         # (variant 0 — isomorphic to whatever variant was sampled first,
-        # so the blocklist reports combinations in canonical ids).
-        tasks = [
-            (
-                key,
-                tuple(
-                    (member.app_id, member.source)
-                    for member in pool.blueprint(template).members
-                ),
-            )
-            for key, template in pending.items()
-        ]
-        fresh: list[HouseholdVerdict] = []
-        if options.jobs > 1 and len(tasks) > 1:
-            fresh = StealingScheduler(options).run(tasks)
-        done = {verdict.canonical_key for verdict in fresh}
-        if len(done) < len(tasks):
-            for key, template in pending.items():
-                if key not in done:
-                    fresh.append(
-                        check_household(
-                            pool.blueprint(template), key, options, pipeline
-                        )
-                    )
-        for verdict in fresh:
-            verdicts[verdict.canonical_key] = verdict
+        # so the blocklist reports combinations in canonical ids) through
+        # the shared best-effort pool; every key it did not return is
+        # checked serially below.
+        fresh: dict[str, HouseholdVerdict] = {}
+        worker_count = _resolve_jobs(options.jobs, len(pending), min_parallel=2)
+        if worker_count > 1:
+            payloads = [
+                (key, pool.blueprint(template), options)
+                for key, template in pending.items()
+            ]
+            fresh = run_in_pool(_household_worker, payloads, worker_count)
+        for key, template in pending.items():
+            verdict = fresh.get(key)
+            if verdict is None:
+                verdict = check_household(
+                    pool.blueprint(template), key, options, pipeline
+                )
+            verdicts[key] = verdict
             if fleet_cache is not None and not verdict.failed:
-                fleet_cache.put(verdict.canonical_key, verdict)
+                fleet_cache.put(key, verdict)
 
     # Aggregate telemetry + blocklist over the whole fleet.
     for key, sampled in key_counts.items():

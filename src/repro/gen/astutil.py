@@ -77,11 +77,6 @@ def evt_value() -> ast.PropertyAccess:
     return ast.PropertyAccess(obj=name("evt"), name="value")
 
 
-def location_mode() -> ast.PropertyAccess:
-    """``location.mode`` — the broadcast mode read."""
-    return ast.PropertyAccess(obj=name("location"), name="mode")
-
-
 def method_decl(
     method: str, body: list[ast.Stmt], params: tuple[str, ...] = ("evt",)
 ) -> ast.MethodDecl:

@@ -74,17 +74,6 @@ class BDD(KernelBase):
             self._level_nodes.setdefault(level, set()).add(node_id)
         return node_id
 
-    def node(self, node_id: int) -> _Node:
-        return self._nodes[node_id]
-
-    def node_triple(self, node_id: int) -> tuple[int, int, int] | None:
-        """The (level, low, high) triple of a node, or None when the slot
-        was collected — the kernel-portable introspection hook."""
-        node = self._nodes[node_id]
-        if node is None:
-            return None
-        return (node.level, node.low, node.high)
-
     def ite(self, f: int, g: int, h: int) -> int:
         """if-then-else: f ? g : h — the universal boolean connective."""
         if f == self.TRUE:

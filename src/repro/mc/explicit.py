@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 
 from repro.mc import ctl
 from repro.model.kripke import KripkeState, KripkeStructure
-from repro.model.statemodel import Transition
 
 
 @dataclass
@@ -29,16 +28,6 @@ class CheckResult:
     failing_states: list[KripkeState] = field(default_factory=list)
     counterexample: list[KripkeState] = field(default_factory=list)
     counterexample_loop: list[KripkeState] = field(default_factory=list)
-
-    def trace_transitions(
-        self, kripke: KripkeStructure
-    ) -> list[Transition | None]:
-        """Model transitions along the counterexample path (for reports)."""
-        steps: list[Transition | None] = []
-        path = self.counterexample
-        for src, dst in zip(path, path[1:]):
-            steps.append(kripke.witness.get((src, dst)))
-        return steps
 
 
 class ExplicitChecker:

@@ -2,7 +2,7 @@
 
 Same contract as the reference kernel (:class:`repro.mc.bdd.BDD`) —
 integer node ids with ``FALSE == 0`` / ``TRUE == 1``, id-stable grouped
-sifting, refcounted :meth:`protect` roots, a mark-and-sweep
+sifting, :meth:`protect`-ed roots, a mark-and-sweep
 :meth:`collect` whose cleared slots are never reused — but engineered
 for CPython throughput instead of readability:
 
@@ -127,14 +127,6 @@ class FastKernel(KernelBase):
             if not self._index_dirty:
                 self._level_nodes.setdefault(level, set()).add(node_id)
         return node_id
-
-    def node_triple(self, node_id: int) -> tuple[int, int, int] | None:
-        """The (level, low, high) triple of a node, or None when the slot
-        was collected — the kernel-portable introspection hook."""
-        level = self._level[node_id]
-        if level == _DEAD_LEVEL:
-            return None
-        return (level, self._low[node_id], self._high[node_id])
 
     def allocated_nodes(self) -> int:
         """Total nodes ever allocated (the peak table size: slots are

@@ -23,7 +23,7 @@ long-lived ids are registered via :meth:`protect` so the mark-and-sweep
 :meth:`collect` knows the roots; collected slots are never reused.
 
 :class:`KernelBase` holds everything that is representation-independent
-— variable bookkeeping, protect/unprotect, the grouped-sifting search,
+— variable bookkeeping, GC-root protection, the grouped-sifting search,
 the auto-reorder policy, the early-quantification schedule of
 :meth:`and_exists_list`, and the :meth:`stats` shape — so a kernel only
 implements the node table and the traversals.
@@ -67,9 +67,6 @@ class BddKernel(Protocol):
     def add_var(self, name: str) -> int: ...
     def var(self, name: str) -> int: ...
     def nvar(self, name: str) -> int: ...
-    def var_count(self) -> int: ...
-    def level_of(self, name: str) -> int: ...
-    def name_of(self, level: int) -> str: ...
     def var_order(self) -> list[str]: ...
 
     # Connectives ------------------------------------------------------
@@ -80,7 +77,6 @@ class BddKernel(Protocol):
     def and_not(self, f: int, g: int) -> int: ...
     def xor(self, f: int, g: int) -> int: ...
     def implies(self, f: int, g: int) -> int: ...
-    def iff(self, f: int, g: int) -> int: ...
     def conj(self, items: list[int]) -> int: ...
     def disj(self, items: list[int]) -> int: ...
 
@@ -98,11 +94,9 @@ class BddKernel(Protocol):
 
     # Lifecycle / reordering -------------------------------------------
     def protect(self, f: int) -> int: ...
-    def unprotect(self, f: int) -> None: ...
     def collect(self, roots: tuple[int, ...] | list[int] = ()) -> int: ...
     def live_size(self) -> int: ...
     def allocated_nodes(self) -> int: ...
-    def node_triple(self, node_id: int) -> tuple[int, int, int] | None: ...
     def sift(
         self,
         groups: list[list[str]] | None = None,
@@ -127,7 +121,7 @@ class KernelBase:
     ``ite``, ``and_``/``or_``/``not_``, ``_exists``, ``_and_exists``,
     ``_support_levels``, ``restrict``,
     ``evaluate``/``count_sat``/``any_sat``/``size``, ``collect``,
-    ``swap_adjacent``, ``allocated_nodes``, ``node_triple``, and the
+    ``swap_adjacent``, ``allocated_nodes``, and the
     ``_drop_op_caches`` hook (invoked when memo tables may hold dead or
     stale entries).
     """
@@ -143,8 +137,8 @@ class KernelBase:
         self._var_ids: dict[str, int] = {}
         #: Live nodes per level (maintained by _mk / collect / swaps).
         self._level_nodes: dict[int, set[int]] = {}
-        #: Refcounted GC roots: node id -> protect count.
-        self._protected: dict[int, int] = {}
+        #: GC roots: every id passed to protect() (never released).
+        self._protected: set[int] = set()
         #: Memoized support sets (level frozensets per node id); dropped
         #: on reorder (levels shift) and collection (ids die).
         self._support_cache: dict[int, frozenset[int]] = {}
@@ -189,15 +183,6 @@ class KernelBase:
         level = self._var_ids[name]
         return self._mk(level, self.TRUE, self.FALSE)
 
-    def var_count(self) -> int:
-        return len(self._var_names)
-
-    def level_of(self, name: str) -> int:
-        return self._var_ids[name]
-
-    def name_of(self, level: int) -> str:
-        return self._var_names[level]
-
     def var_order(self) -> list[str]:
         """Variable names from the top of the order to the bottom."""
         return list(self._var_names)
@@ -218,9 +203,6 @@ class KernelBase:
 
     def implies(self, f: int, g: int) -> int:
         return self.ite(f, g, self.TRUE)
-
-    def iff(self, f: int, g: int) -> int:
-        return self.ite(f, g, self.not_(g))
 
     def conj(self, items: list[int]) -> int:
         result = self.TRUE
@@ -303,16 +285,9 @@ class KernelBase:
     # GC roots
     # ------------------------------------------------------------------
     def protect(self, f: int) -> int:
-        """Register ``f`` as a GC root (refcounted); returns ``f``."""
-        self._protected[f] = self._protected.get(f, 0) + 1
+        """Register ``f`` as a GC root; returns ``f``."""
+        self._protected.add(f)
         return f
-
-    def unprotect(self, f: int) -> None:
-        count = self._protected.get(f, 0)
-        if count <= 1:
-            self._protected.pop(f, None)
-        else:
-            self._protected[f] = count - 1
 
     def live_size(self) -> int:
         """Number of non-terminal nodes currently in the node table."""

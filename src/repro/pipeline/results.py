@@ -71,9 +71,6 @@ class AppAnalysis:
     def violated_ids(self) -> set[str]:
         return {v.property_id for v in self.violations}
 
-    def has_violations(self) -> bool:
-        return bool(self.violations)
-
 
 @dataclass
 class EnvironmentAnalysis:

@@ -1,9 +1,12 @@
 """Fleet screening driver: sampling, dedup, telemetry, and exit codes."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.corpus.diskcache import FleetCache
 from repro.corpus.loader import registered_ids
+from repro.fleet import driver
 from repro.fleet.driver import (
     FLEET_MAX_UNION_STATES,
     FleetOptions,
@@ -180,7 +183,7 @@ class TestDiskTier:
         assert probe() is not None
         # Execution knobs are not check knobs: the key is the
         # CheckConfig part of the options alone.
-        assert probe(jobs=2, batch_size=4) is not None
+        assert probe(jobs=2, cache_dir=str(tmp_path)) is not None
         plain = CheckConfig(max_union_states=FLEET_MAX_UNION_STATES)
         assert FleetCache(ArtifactStore(tmp_path), plain).get("k" * 64) is not None
         # A forced-knob run never sees the auto entry.
@@ -188,16 +191,57 @@ class TestDiskTier:
         assert probe(max_union_states=10_000) is None
 
 
+def _timeless(telemetry: FleetTelemetry) -> FleetTelemetry:
+    return replace(telemetry, elapsed=0.0)
+
+
+def _fields(verdicts: dict[str, HouseholdVerdict]) -> dict:
+    """Every per-key field, violation records as a set: S.2's
+    cross-handler records come out in string-hash order, which a pool
+    worker need not share with the parent."""
+    return {
+        key: replace(verdict, violations=frozenset(verdict.violations))
+        for key, verdict in verdicts.items()
+    }
+
+
 class TestPooledExecution:
     def test_pooled_matches_serial(self, small_run):
-        pooled = run_fleet(SMALL, COUNT, FleetOptions(jobs=2, batch_size=2))
-        assert set(pooled.verdicts) == set(small_run.verdicts)
-        for key, verdict in pooled.verdicts.items():
-            assert verdict.violated_ids() == small_run.verdicts[key].violated_ids()
-        assert (
-            pooled.telemetry.violating_households
-            == small_run.telemetry.violating_households
-        )
+        pooled = run_fleet(SMALL, COUNT, FleetOptions(jobs=2))
+        # Every per-key field (violations, backend, state estimate,
+        # error) and every counter but the wall clock.
+        assert _fields(pooled.verdicts) == _fields(small_run.verdicts)
+        assert _timeless(pooled.telemetry) == _timeless(small_run.telemetry)
+        assert pooled.blocklist["entries"] == small_run.blocklist["entries"]
+        # Pool workers are separate processes: nothing they register
+        # reaches the parent's registry.
+        assert [i for i in registered_ids() if i.startswith("Flt")] == []
+
+    @pytest.mark.parametrize("returned", ["none", "half"])
+    def test_serial_pass_checks_what_the_pool_dropped(
+        self, small_run, tmp_path, monkeypatch, returned
+    ):
+        calls = []
+
+        def lossy_pool(worker, payloads, worker_count):
+            calls.append(len(payloads))
+            if returned == "none":
+                return {}
+            return dict(worker(*payload) for payload in payloads[::2])
+
+        monkeypatch.setattr(driver, "run_in_pool", lossy_pool)
+        options = FleetOptions(jobs=2, cache_dir=str(tmp_path))
+        cold = run_fleet(SMALL, COUNT, options)
+        assert calls == [cold.telemetry.fresh_checks]
+        assert _fields(cold.verdicts) == _fields(small_run.verdicts)
+        assert cold.telemetry.failed_checks == 0
+        assert [i for i in registered_ids() if i.startswith("Flt")] == []
+
+        serial = FleetOptions(jobs=1, cache_dir=str(tmp_path))
+        warm = run_fleet(SMALL, COUNT, serial)
+        assert warm.telemetry.fresh_checks == 0
+        assert warm.telemetry.disk_hits == warm.telemetry.canonical_distinct
+        assert _fields(warm.verdicts) == _fields(small_run.verdicts)
 
 
 class TestExitCodes:

@@ -94,6 +94,26 @@ class TestCli:
             main([])
 
 
+class TestJobsFlag:
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["corpus", "maliot"],
+            ["sweep", "maliot"],
+            ["fuzz", "--count", "1"],
+            ["fleet", "--households", "10", "--templates", "1"],
+        ],
+        ids=lambda command: command[0],
+    )
+    def test_negative_jobs_is_a_usage_error(self, command, capsys):
+        # Exit 1 means "violations found"; a bad flag must not look like
+        # a finding (or run serially as if it were valid).
+        with pytest.raises(SystemExit) as exc:
+            main([*command, "--jobs", "-1"])
+        assert exc.value.code == 2
+        assert "--jobs: must be non-negative" in capsys.readouterr().err
+
+
 class TestCorpusCli:
     def test_violating_dataset_exits_one(self, capsys):
         # MalIoT apps violate individually (Appendix C): like `analyze`
