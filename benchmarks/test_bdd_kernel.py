@@ -9,8 +9,8 @@ engine time: the fast kernel's flat (level, low, high) arrays,
 packed-int tables, and persistent per-quantifier-mask computed caches
 against the reference manager's dict-of-``_Node`` design.
 
-The acceptance gate is a ≥3x speedup (reference baseline ~35-40 s, the
-fast kernel ~12 s here); both wall clocks and both peak node counts are
+The acceptance gate is a ≥3x speedup (reference ~7 s, the fast kernel
+~2 s on a 2-core VM); both wall clocks and both peak node counts are
 recorded in ``BENCH_bdd_kernel.json`` for the cross-PR trajectory.
 """
 

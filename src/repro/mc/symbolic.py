@@ -13,6 +13,15 @@ EX is the relational preimage ``exists y . R(x, y) & f[y/x]``; EU/EG are
 the usual fixpoints computed entirely on BDDs.  The differential suites
 verify it against the explicit checker (they must agree on every
 formula/model pair).
+
+Top-level invariants ``AG p`` with a propositional body ``p`` — most of
+the property catalog — skip the fixpoints altogether: the encoder's BFS
+rings already partition the reachable set by distance from the initial
+states, so ``AG p`` fails exactly when some ring meets ``!p``, and the
+first such ring is the length of a shortest witness, which is walked
+back ring by ring with one preimage per step.  Every other formula
+(temporal bodies such as ``AG(p -> EF q)``, guarded invariants, ``AG``
+nested under other operators) goes through :meth:`SymbolicModelChecker.sat`.
 """
 
 from __future__ import annotations
@@ -146,9 +155,17 @@ class SymbolicModelChecker:
         decoded failing initial state and ``counterexample`` a decoded
         witness path (AG: shortest path into the violation from the
         reachability frontiers; AF: a lasso inside the EG region).
+
+        ``AG p`` with a propositional ``p`` is answered from the stored
+        BFS rings (:meth:`_check_invariant`) and never computes
+        ``sat(AG p)``; its failing state is the witness's first state.
         """
         if isinstance(formula, str):
             formula = ctl.parse_ctl(formula)
+        if isinstance(formula, ctl.AG):
+            body = self._state_set(formula.operand)
+            if body is not None:
+                return self._check_invariant(formula, body)
         satisfied = self.sat(formula)
         failing = self.bdd.and_not(self._initial, satisfied)
         result = CheckResult(formula=formula, holds=failing == self.bdd.FALSE)
@@ -159,6 +176,52 @@ class SymbolicModelChecker:
             result.failing_states = [start]
         self._attach_counterexample(formula, failing, result)
         return result
+
+    def _state_set(self, f: ctl.Formula) -> int | None:
+        """The states satisfying a propositional formula, over the whole
+        state space (not restricted to the reachable universe), or None
+        when ``f`` has a temporal operator."""
+        bdd = self.bdd
+        if isinstance(f, ctl.Bool):
+            return bdd.TRUE if f.value else bdd.FALSE
+        if isinstance(f, ctl.Prop):
+            return self.symbolic.prop(f.name)
+        if isinstance(f, ctl.Not):
+            inner = self._state_set(f.operand)
+            return None if inner is None else bdd.not_(inner)
+        connective = {ctl.And: bdd.and_, ctl.Or: bdd.or_, ctl.Implies: bdd.implies}
+        apply = connective.get(type(f))
+        if apply is None:
+            return None
+        left = self._state_set(f.left)
+        if left is None:
+            return None
+        right = self._state_set(f.right)
+        return None if right is None else apply(left, right)
+
+    def _check_invariant(self, formula: ctl.AG, body: int) -> CheckResult:
+        """``AG p`` from the BFS rings: it fails iff some ring holds a
+        ``!p`` state, and the first such ring gives a shortest witness.
+
+        The rings partition the reachable set by BFS distance from the
+        initial states, so no fixpoint is needed; the witness is walked
+        back from the violating ring to ring 0, whose state is the
+        failing initial state.
+        """
+        bdd = self.bdd
+        rings = self.symbolic.frontiers
+        for depth, ring in enumerate(rings):
+            hit = bdd.and_not(ring, body)
+            if hit == bdd.FALSE:
+                continue
+            path = self._walk_back(hit, rings[:depth])
+            return CheckResult(
+                formula=formula,
+                holds=False,
+                failing_states=path[:1],
+                counterexample=path,
+            )
+        return CheckResult(formula=formula, holds=True)
 
     def _register(self, states: int) -> KripkeState | None:
         """Decode one state of a non-empty set, recording its labels."""
@@ -200,8 +263,7 @@ class SymbolicModelChecker:
         """A shortest witness path, walked back over BFS frontiers.
 
         Forward frontiers are grown from ``sources`` until one meets
-        ``targets``; the path is then reconstructed ring by ring through
-        symbolic preimages — each step decodes exactly one state.
+        ``targets``; the path is then reconstructed by :meth:`_walk_back`.
         """
         bdd = self.bdd
         frontiers = [sources]
@@ -214,12 +276,20 @@ class SymbolicModelChecker:
             frontiers.append(nxt)
             covered = bdd.or_(covered, nxt)
             hit = bdd.and_(nxt, targets)
+        return self._walk_back(hit, frontiers[:-1])
+
+    def _walk_back(self, hit: int, rings: list[int]) -> list[KripkeState]:
+        """Decode a path ending in ``hit`` and passing through ``rings``
+        in order: one state of ``hit``, then ring by ring backwards a
+        predecessor of the state decoded last — each step decodes exactly
+        one state through one symbolic preimage."""
+        bdd = self.bdd
         node = self._register(hit)
         if node is None:
             return []
         path = [node]
         cube = self.symbolic.state_cube(self._last_assignment)
-        for ring in reversed(frontiers[:-1]):
+        for ring in reversed(rings):
             candidates = bdd.and_(ring, self.symbolic.pre(cube))
             node = self._register(candidates)
             if node is None:  # pragma: no cover - rings are connected

@@ -31,8 +31,9 @@ labels, and every untouched attribute keeps its value.  The union
 transition relation is the disjunction of all fragments — asynchronous
 interleaving, exactly the explicit expansion's semantics — made total by
 self-loops on deadlocked states.  Reachability is a symbolic least
-fixpoint from the initial-state BDD; the breadth-first frontiers are kept
-for counterexample witness extraction in :mod:`repro.mc.symbolic`.
+fixpoint from the initial-state BDD; the breadth-first frontiers are kept:
+:mod:`repro.mc.symbolic` answers top-level invariants from them and walks
+counterexample witnesses back over them.
 
 The partitioned relation
 ------------------------
@@ -514,11 +515,17 @@ class SymbolicUnionModel:
         ``states & fire`` on the early schedule (untouched blocks stay in
         place, the frame is implicit), stamp the written values, and
         disjoin; deadlocked states contribute themselves.
+
+        Every fragment overwrites the incoming-fragment label and no
+        firing conjunct reads it, so the label is quantified out of
+        ``states`` once, before the partition loop, instead of once per
+        fragment; the deadlock term keeps the labelled ``states``.
         """
         bdd = self.bdd
+        unlabelled = bdd.exists(self._frag_x, states)
         terms = []
         for part in self.partitions:
-            image = bdd.and_exists_list(list(part.quant_x), [states, *part.fire])
+            image = bdd.and_exists_list(list(part.quant_x), [unlabelled, *part.fire])
             if image == bdd.FALSE:
                 continue
             terms.append(bdd.and_(part.write_x, image))

@@ -75,7 +75,7 @@ from pathlib import Path
 #: (IR, abstraction, model extraction, property catalog, result
 #: dataclasses) can alter an artifact, so stale results are never served
 #: across code changes.
-PIPELINE_VERSION = "10"  # 10: CheckConfig.key() has no encoding field
+PIPELINE_VERSION = "11"  # 11: S.2/S.3 records sorted; AG witnesses from BFS rings
 
 #: Environment variable consulted when no cache directory is passed
 #: explicitly (CLI ``--cache-dir`` and the ``cache_dir=`` parameters win).

@@ -204,7 +204,7 @@ def check_s2(rules: OriginRules) -> list[Violation]:
                 continue
             writes_a = {(d, a, v) for d, a, v, _ in _writes(first)}
             writes_b = {(d, a, v) for d, a, v, _ in _writes(second)}
-            for device, attribute, value in writes_a & writes_b:
+            for device, attribute, value in sorted(writes_a & writes_b):
                 violations.append(
                     Violation(
                         property_id="S.2",
@@ -232,7 +232,7 @@ def check_s3(rules: OriginRules) -> list[Violation]:
                 continue
             writes_a = {(d, a, v) for d, a, v, _ in _writes(first)}
             writes_b = {(d, a, v) for d, a, v, _ in _writes(second)}
-            for device, attribute, value in writes_a & writes_b:
+            for device, attribute, value in sorted(writes_a & writes_b):
                 violations.append(
                     Violation(
                         property_id="S.3",

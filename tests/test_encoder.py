@@ -270,6 +270,20 @@ class TestPartitionAgainstExplicitKripke:
             )
 
 
+@pytest.mark.parametrize("kernel", KERNELS)
+@pytest.mark.parametrize("sources", UNIONS)
+def test_fire_conjuncts_never_read_the_fragment_label(sources, kernel):
+    """``post`` quantifies the incoming-fragment label out of its argument
+    once, before the partition loop; that is exact only because no firing
+    conjunct mentions the label."""
+    symbolic = encode_union([model_of(source) for source in sources], kernel=kernel)
+    bdd = symbolic.bdd
+    assert symbolic.partitions
+    for partition in symbolic.partitions:
+        for piece in partition.fire:
+            assert bdd.exists(symbolic._frag_x, piece) == piece
+
+
 class TestWrittenOverride:
     @pytest.mark.parametrize("kernel", KERNELS)
     def test_written_override_disables_self_stimulation(self, kernel):

@@ -1,6 +1,13 @@
 """General properties S.1-S.5 on transition rules."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
+
+import repro
 
 from repro.analysis.symexec import SymbolicExecutor
 from repro.ir import build_ir
@@ -210,3 +217,58 @@ def h(evt){ the_switch.on()\n the_switch.off()\n the_switch.on() }
 ''')
     ids = {v.property_id for v in check_general_properties(rules, ir=ir)}
     assert "S.1" in ids and "S.2" in ids
+
+
+#: Prints the general-property records of three apps: A and B both set
+#: two values on ``contact.open`` (two S.2 cross-handler records), C
+#: sets the same two values on the complementary ``contact.closed`` (two
+#: S.3 records against each of A and B).
+RECORD_ORDER_SCRIPT = r"""
+from repro.analysis.symexec import SymbolicExecutor
+from repro.ir import build_ir
+from repro.platform import SmartApp
+from repro.properties.general import check_general_properties
+
+SOURCE = '''
+definition(name: "X")
+preferences { section("S") {
+    input "the_switch", "capability.switch", required: true
+    input "the_lock", "capability.lock", required: true
+    input "the_contact", "capability.contactSensor", required: true
+} }
+def installed(){ subscribe(the_contact, "contact.%s", h) }
+def h(evt){
+    the_switch.on()
+    the_lock.lock()
+}
+'''
+rules = []
+for name, value in (("A", "open"), ("B", "open"), ("C", "closed")):
+    ir = build_ir(SmartApp.from_source(SOURCE % value, name=name))
+    groups = SymbolicExecutor(ir).run_all().values()
+    rules += [(name, summary) for group in groups for summary in group]
+for violation in check_general_properties(rules):
+    print(violation.property_id, violation.apps, violation.description)
+"""
+
+
+class TestRecordOrder:
+    def test_record_order_does_not_depend_on_the_hash_seed(self):
+        """Records over a set of shared writes come out in one order in
+        every process, whatever the string hash seed."""
+        src = str(Path(repro.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        outputs = set()
+        for seed in range(8):
+            run = subprocess.run(
+                [sys.executable, "-c", RECORD_ORDER_SCRIPT],
+                env={**os.environ, "PYTHONHASHSEED": str(seed), "PYTHONPATH": path},
+                capture_output=True,
+                text=True,
+                check=True,
+            )
+            outputs.add(run.stdout)
+        assert len(outputs) == 1, sorted(outputs)
+        ids = [line.split()[0] for line in outputs.pop().splitlines()]
+        assert ids.count("S.2") == 2
+        assert ids.count("S.3") == 4
