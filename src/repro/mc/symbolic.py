@@ -14,14 +14,15 @@ the usual fixpoints computed entirely on BDDs.  The differential suites
 verify it against the explicit checker (they must agree on every
 formula/model pair).
 
-Top-level invariants ``AG p`` with a propositional body ``p`` — most of
-the property catalog — skip the fixpoints altogether: the encoder's BFS
-rings already partition the reachable set by distance from the initial
-states, so ``AG p`` fails exactly when some ring meets ``!p``, and the
-first such ring is the length of a shortest witness, which is walked
-back ring by ring with one preimage per step.  Every other formula
-(temporal bodies such as ``AG(p -> EF q)``, guarded invariants, ``AG``
-nested under other operators) goes through :meth:`SymbolicModelChecker.sat`.
+A top-level invariant ``AG p`` — the shape of the property catalog —
+skips the outer fixpoint: the encoder's BFS rings already partition the
+reachable set by distance from the initial states, so ``AG p`` fails
+exactly when some ring meets ``!p``, and the first such ring is the
+length of a shortest witness, which is walked back ring by ring with one
+preimage per step.  Only the body ``p`` goes through
+:meth:`SymbolicModelChecker.sat` (with its own fixpoints when ``p`` is
+temporal, as in ``AG(p -> EF q)``); every other top-level shape, ``AG``
+nested under other operators included, is answered by ``sat`` whole.
 """
 
 from __future__ import annotations
@@ -156,16 +157,16 @@ class SymbolicModelChecker:
         witness path (AG: shortest path into the violation from the
         reachability frontiers; AF: a lasso inside the EG region).
 
-        ``AG p`` with a propositional ``p`` is answered from the stored
+        A top-level ``AG p`` is answered from ``sat(p)`` and the stored
         BFS rings (:meth:`_check_invariant`) and never computes
-        ``sat(AG p)``; its failing state is the witness's first state.
+        ``sat(AG p)``.  Whenever the witness is a path into an ``AG``
+        violation (top-level or guarded, ``q -> AG p``), the failing state
+        is the witness's first state.
         """
         if isinstance(formula, str):
             formula = ctl.parse_ctl(formula)
         if isinstance(formula, ctl.AG):
-            body = self._state_set(formula.operand)
-            if body is not None:
-                return self._check_invariant(formula, body)
+            return self._check_invariant(formula, self.sat(formula.operand))
         satisfied = self.sat(formula)
         failing = self.bdd.and_not(self._initial, satisfied)
         result = CheckResult(formula=formula, holds=failing == self.bdd.FALSE)
@@ -177,31 +178,10 @@ class SymbolicModelChecker:
         self._attach_counterexample(formula, failing, result)
         return result
 
-    def _state_set(self, f: ctl.Formula) -> int | None:
-        """The states satisfying a propositional formula, over the whole
-        state space (not restricted to the reachable universe), or None
-        when ``f`` has a temporal operator."""
-        bdd = self.bdd
-        if isinstance(f, ctl.Bool):
-            return bdd.TRUE if f.value else bdd.FALSE
-        if isinstance(f, ctl.Prop):
-            return self.symbolic.prop(f.name)
-        if isinstance(f, ctl.Not):
-            inner = self._state_set(f.operand)
-            return None if inner is None else bdd.not_(inner)
-        connective = {ctl.And: bdd.and_, ctl.Or: bdd.or_, ctl.Implies: bdd.implies}
-        apply = connective.get(type(f))
-        if apply is None:
-            return None
-        left = self._state_set(f.left)
-        if left is None:
-            return None
-        right = self._state_set(f.right)
-        return None if right is None else apply(left, right)
-
     def _check_invariant(self, formula: ctl.AG, body: int) -> CheckResult:
-        """``AG p`` from the BFS rings: it fails iff some ring holds a
-        ``!p`` state, and the first such ring gives a shortest witness.
+        """``AG p`` from the BFS rings, given ``body = sat(p)``: it fails
+        iff some ring holds a ``!p`` state, and the first such ring gives
+        a shortest witness.
 
         The rings partition the reachable set by BFS distance from the
         initial states, so no fixpoint is needed; the witness is walked
@@ -243,6 +223,7 @@ class SymbolicModelChecker:
             path = self._shortest_path(failing, bad)
             if path:
                 result.counterexample = path
+                result.failing_states = path[:1]
             return
         if isinstance(formula, ctl.Implies) and isinstance(formula.right, ctl.AG):
             # Common shape AG properties take after applicability guards.

@@ -1,23 +1,23 @@
 """Top-level invariants answered from the BFS rings, against the fixpoint.
 
-:meth:`SymbolicModelChecker.check` answers ``AG p`` with a propositional
-``p`` from the encoder's stored reachability rings instead of computing
-``sat(AG p)``.  This suite pins that shortcut to the backward fixpoint
-it replaces, which :meth:`SymbolicModelChecker.sat` still computes, on
-both BDD kernels, with and without sifting forced during construction
-(the engine configurations of ``test_verdict_soundness.py``):
+:meth:`SymbolicModelChecker.check` answers a top-level ``AG p`` from
+``sat(p)`` and the encoder's stored reachability rings instead of
+computing ``sat(AG p)``.  This suite pins that shortcut to the backward
+fixpoint it replaces, which :meth:`SymbolicModelChecker.sat` still
+computes, on both BDD kernels, with and without sifting forced during
+construction (the engine configurations of ``test_verdict_soundness.py``):
 
 * the verdict equals ``initial & !sat(AG p) == FALSE``;
-* the failing state is one of those initial states;
+* the failing state is the witness's first state, one of those initial
+  states;
 * the witness is a real path of the explicit Kripke structure that ends
   in a ``!p`` state, and it is as short as the explicit structure's
   shortest path from an initial state to a ``!p`` state.
 
-Temporal bodies take the fixpoint path; they are checked too, so the
-two paths are compared on one checker.  Every product state is an
-initial state, so the unions below have two rings; one more union
-starts from a single initial state, giving three rings and a violation
-first reached at ring 2.
+Bodies are propositional and temporal (``EF``, ``AX``).  Every product
+state is an initial state, so the unions below have two rings; one more
+union starts from a single initial state, giving three rings and a
+violation first reached at ring 2.
 """
 
 import pytest
@@ -127,7 +127,7 @@ def _table4_union(index):
 
 def _formulas(symbolic, extra=()):
     """Propositional invariants over every atom, a few compound bodies,
-    and temporal bodies that stay on the fixpoint path."""
+    and temporal bodies."""
     atoms = sorted(symbolic.prop_map)
     acts = [ctl.Prop(a) for a in atoms if a.startswith("act:")]
     attrs = [ctl.Prop(a) for a in atoms if a.startswith("attr:")]
@@ -158,16 +158,6 @@ def _engine(model, engine):
     return symbolic
 
 
-def _propositional(f):
-    if isinstance(f, (ctl.Bool, ctl.Prop)):
-        return True
-    if isinstance(f, ctl.Not):
-        return _propositional(f.operand)
-    if isinstance(f, (ctl.And, ctl.Or, ctl.Implies)):
-        return _propositional(f.left) and _propositional(f.right)
-    return False
-
-
 def _assert_ring_answers(symbolic, kripke, initial, formulas):
     """Every formula: the ring answer agrees with the fixpoint."""
     bdd = symbolic.bdd
@@ -186,16 +176,15 @@ def _assert_ring_answers(symbolic, kripke, initial, formulas):
             continue
         failed += 1
         path = result.counterexample
-        for start in (result.failing_states[0], path[0]):
-            assert start.incoming == ()
-            start_set = bdd.conj(
-                [symbolic.initial]
-                + [symbolic.value_cube(i, v) for i, v in enumerate(start.state)]
-            )
-            assert bdd.and_(start_set, failing) != bdd.FALSE, str(formula)
-        if _propositional(formula.operand):
-            # The ring answer reports its witness's first state.
-            assert result.failing_states == path[:1]
+        # The ring answer reports its witness's first state.
+        assert result.failing_states == path[:1], str(formula)
+        start = path[0]
+        assert start.incoming == ()
+        start_set = bdd.conj(
+            [symbolic.initial]
+            + [symbolic.value_cube(i, v) for i, v in enumerate(start.state)]
+        )
+        assert bdd.and_(start_set, failing) != bdd.FALSE, str(formula)
         for src, dst in zip(path, path[1:]):
             assert (_norm(src), _norm(dst)) in edges, (str(formula), src, dst)
         bad = oracle.all_states - oracle.sat(formula.operand)
@@ -258,3 +247,31 @@ def test_violation_first_reached_at_ring_two(engine):
     assert not result.holds
     assert len(result.counterexample) == 3
     _assert_ring_answers(symbolic, kripke, initial, _formulas(symbolic, [deep]))
+
+
+@pytest.mark.parametrize("kernel", ["reference", "fast"])
+@pytest.mark.parametrize("name", sorted(HAND_UNIONS))
+def test_guarded_invariants_report_the_witness_start(name, kernel):
+    """``q -> AG p`` keeps the fixpoint path; its failing state is still
+    the first state of its witness, a failing initial state."""
+    symbolic = SymbolicUnionModel(_hand_union(name), kernel=kernel)
+    bdd = symbolic.bdd
+    checker = SymbolicModelChecker(symbolic)
+    guards = [ctl.Prop(a) for a in sorted(symbolic.prop_map) if a.startswith("attr:")]
+    failed = 0
+    for invariant in _formulas(symbolic):
+        for guard in guards:
+            formula = ctl.Implies(guard, invariant)
+            result = checker.check(formula)
+            if result.holds:
+                continue
+            failed += 1
+            assert result.failing_states == result.counterexample[:1], str(formula)
+            start = result.counterexample[0]
+            start_set = bdd.conj(
+                [symbolic.initial]
+                + [symbolic.value_cube(i, v) for i, v in enumerate(start.state)]
+            )
+            failing = bdd.and_not(symbolic.initial, checker.sat(formula))
+            assert bdd.and_(start_set, failing) != bdd.FALSE, str(formula)
+    assert failed
